@@ -1,7 +1,8 @@
-// Google-benchmark microbenchmarks for the library's primitives: sorted
-// intersection, binomial sampling, DCSR lookup, dynamic-graph updates, and
-// the frequency estimator. These are the hot paths of the matching kernel
-// and the Step-2/Step-5 host phases.
+// Google-benchmark microbenchmarks for the library's primitives: the
+// candidate kernel every matcher runs (core/intersect.hpp), binomial
+// sampling, DCSR lookup, dynamic-graph updates, and the frequency
+// estimator. These are the hot paths of the matching kernel and the
+// Step-2/Step-5 host phases.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -32,32 +33,86 @@ std::vector<VertexId> sorted_random(std::size_t n, VertexId range,
   return v;
 }
 
-void BM_IntersectBalanced(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = sorted_random(n, static_cast<VertexId>(4 * n), 1);
-  const auto b = sorted_random(n, static_cast<VertexId>(4 * n), 2);
-  std::vector<VertexId> out;
-  for (auto _ : state) {
-    intersect_sorted(a.data(), a.size(), b.data(), b.size(), out);
-    benchmark::DoNotOptimize(out.data());
+// The three view shapes the candidate kernel meets: a plain list read where
+// it lies, a prefix carrying tombstones, and a prefix plus an appended run
+// (the last two are decoded into scratch first).
+enum Shape : int { kPlain = 0, kTombstoned = 1, kAppended = 2 };
+
+// A view whose live ids are `ids`, stored in the given shape.
+struct BenchView {
+  std::vector<VertexId> prefix;
+  std::vector<VertexId> appended;
+  NeighborView view;
+
+  BenchView(const std::vector<VertexId>& ids, Shape shape) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (shape == kAppended && i % 8 == 7) {
+        appended.push_back(ids[i]);
+      } else {
+        prefix.push_back(ids[i]);
+      }
+      // One deleted neighbor after every 16 live ones.
+      if (shape == kTombstoned && i % 16 == 15 && i + 1 < ids.size() &&
+          ids[i] + 1 < ids[i + 1]) {
+        prefix.push_back(tombstone(ids[i] + 1));
+      }
+    }
+    view.prefix = {prefix.data(), static_cast<std::uint32_t>(prefix.size())};
+    view.appended = {appended.data(),
+                     static_cast<std::uint32_t>(appended.size())};
   }
-  state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));
+};
+
+// Times compute_candidates over `views`, the path every matcher runs.
+void run_kernel(benchmark::State& state, const std::vector<BenchView>& views) {
+  std::vector<VertexId> out;
+  KernelScratch scratch;
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    ops += compute_candidates(
+        views.size(), [&](std::size_t i) { return views[i].view; }, out,
+        scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(ops);
+  std::uint64_t items = 0;
+  for (const BenchView& v : views) items += v.view.size_bound();
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * items));
 }
-BENCHMARK(BM_IntersectBalanced)->Arg(64)->Arg(1024)->Arg(16384);
+
+void BM_IntersectBalanced(benchmark::State& state) {
+  // Equal-length lists: the block-merge path. Arg 2 adds a third operand,
+  // intersected in place into the first pair's result.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto shape = static_cast<Shape>(state.range(1));
+  const auto range = static_cast<VertexId>(2 * n);
+  std::vector<BenchView> views;
+  views.emplace_back(sorted_random(n, range, 1), shape);
+  views.emplace_back(sorted_random(n, range, 2), shape);
+  if (state.range(2) != 0) {
+    views.emplace_back(sorted_random(n, range, 3), shape);
+  }
+  run_kernel(state, views);
+}
+BENCHMARK(BM_IntersectBalanced)
+    ->ArgsProduct(
+        {{64, 1024, 16384}, {kPlain, kTombstoned, kAppended}, {0, 1}});
 
 void BM_IntersectSkewed(benchmark::State& state) {
   // Small list vs big list: the galloping path (hub-vertex case).
-  const auto small = sorted_random(32, 1 << 20, 3);
-  const auto big =
-      sorted_random(static_cast<std::size_t>(state.range(0)), 1 << 20, 4);
-  std::vector<VertexId> out;
-  for (auto _ : state) {
-    intersect_sorted(small.data(), small.size(), big.data(), big.size(),
-                     out);
-    benchmark::DoNotOptimize(out.data());
-  }
+  const auto shape = static_cast<Shape>(state.range(1));
+  std::vector<BenchView> views;
+  views.emplace_back(sorted_random(32, 1 << 20, 3), kPlain);
+  views.emplace_back(
+      sorted_random(static_cast<std::size_t>(state.range(0)), 1 << 20, 4),
+      shape);
+  run_kernel(state, views);
 }
-BENCHMARK(BM_IntersectSkewed)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_IntersectSkewed)
+    ->ArgsProduct(
+        {{1 << 12, 1 << 16, 1 << 20}, {kPlain, kTombstoned, kAppended}});
 
 void BM_BinomialSmallP(benchmark::State& state) {
   Rng rng(5);

@@ -103,6 +103,12 @@ run_preset() {
     if ! run ctest --preset shard-asan -j "${JOBS}"; then
       failures+=("shard-asan: tests")
     fi
+    # Candidate kernel (block merge, gallop, in-place narrowing, view
+    # decoding) against its reference on randomized views: the 8-wide loads
+    # must never read past a segment end, which asan reports as an overflow.
+    if ! run ctest --preset kernel-asan -j "${JOBS}"; then
+      failures+=("kernel-asan: tests")
+    fi
   fi
   # The match fan-out across queries is the concurrency hot spot: the
   # multiquery label (engine suite + ThreadPool stress) is the tsan target,

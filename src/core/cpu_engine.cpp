@@ -9,51 +9,62 @@
 namespace gcsm {
 namespace {
 
-struct WorkerScratch {
+// One per worker (block), cache-line aligned so that workers never share a
+// line. Traffic and charged ops accumulate here without contention and are
+// folded into the launch's counters once, by LaunchFold.
+struct alignas(64) WorkerScratch {
   std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
   std::array<std::uint32_t, kMaxQueryVertices> cursor{};
-  std::vector<VertexId> tmp;
+  KernelScratch kernel;
+  std::vector<VertexId> seeds;  // match_full's seed targets
+  gpusim::TrafficCounters traffic;
+  std::uint64_t ops = 0;  // charged intersection/materialization ops
   MatchStats stats;
   double busy_seconds = 0.0;
 };
 
-// Charges intersection/materialization work to the right side of the cost
-// model: SIMT compute for device policies, host ops for CPU policies.
-void charge_ops(AccessPolicy& policy, gpusim::TrafficCounters& counters,
-                std::uint64_t ops) {
-  if (policy.on_device()) {
-    counters.add_compute(ops);
-  } else {
-    counters.add_host(ops, 0);
+// Folds every worker's traffic and ops into the launch's counters when the
+// launch ends, including by a throw, so traffic charged before the throw
+// still lands. Ops go to the side of the cost model the policy runs on:
+// SIMT compute for device policies, host ops for CPU policies.
+class LaunchFold {
+ public:
+  LaunchFold(std::vector<WorkerScratch>& workers, const AccessPolicy& policy,
+             gpusim::TrafficCounters& counters)
+      : workers_(workers), policy_(policy), counters_(counters) {}
+  LaunchFold(const LaunchFold&) = delete;
+  LaunchFold& operator=(const LaunchFold&) = delete;
+  ~LaunchFold() {
+    for (WorkerScratch& w : workers_) {
+      if (policy_.on_device()) {
+        w.traffic.add_compute(w.ops);
+      } else {
+        w.traffic.add_host(w.ops, 0);
+      }
+      counters_.add(w.traffic.snapshot());
+    }
   }
-}
+
+ private:
+  std::vector<WorkerScratch>& workers_;
+  const AccessPolicy& policy_;
+  gpusim::TrafficCounters& counters_;
+};
 
 // Computes the candidate buffer for `level` of `plan` given the bindings so
 // far. Returns false if the candidate set is empty.
-bool compute_candidates(const MatchPlan& plan, std::uint32_t level,
-                        const std::array<VertexId, kMaxQueryVertices>& bound,
-                        AccessPolicy& policy,
-                        gpusim::TrafficCounters& counters,
-                        WorkerScratch& scratch) {
+bool compute_level(const MatchPlan& plan, std::uint32_t level,
+                   const std::array<VertexId, kMaxQueryVertices>& bound,
+                   AccessPolicy& policy, WorkerScratch& scratch) {
   const PlanLevel& pl = plan.levels[level];
-  auto& out = scratch.cand[level];
-  out.clear();
-  std::uint64_t ops = 0;
-
-  const auto& c0 = pl.constraints[0];
-  const NeighborView v0 = policy.fetch(bound[c0.order_pos], c0.view, counters);
-  materialize_view(v0, out);
-  ops += out.size();
-
-  for (std::size_t i = 1; i < pl.constraints.size() && !out.empty(); ++i) {
-    const auto& c = pl.constraints[i];
-    const NeighborView vi = policy.fetch(bound[c.order_pos], c.view, counters);
-    scratch.tmp.clear();
-    materialize_view(vi, scratch.tmp);
-    ops += scratch.tmp.size();
-    ops += intersect_into(out, scratch.tmp.data(), scratch.tmp.size());
-  }
-  charge_ops(policy, counters, ops);
+  std::vector<VertexId>& out = scratch.cand[level];
+  scratch.ops += compute_candidates(
+      pl.constraints.size(),
+      [&](std::size_t i) {
+        const BackwardConstraint& c = pl.constraints[i];
+        return policy.fetch(bound[c.order_pos], c.view, scratch.traffic);
+      },
+      out, scratch.kernel);
   return !out.empty();
 }
 
@@ -75,8 +86,7 @@ class SinkLock {
 // Explicit-stack DFS from one bound seed edge (the STMatch kernel shape).
 void enumerate_seed(const QueryGraph& query, const MatchPlan& plan,
                     const DynamicGraph& graph, VertexId xa, VertexId xb,
-                    int sign, AccessPolicy& policy,
-                    gpusim::TrafficCounters& counters, WorkerScratch& scratch,
+                    int sign, AccessPolicy& policy, WorkerScratch& scratch,
                     SinkLock& sink, const CandidateFilter* filter) {
   const std::uint32_t num_levels = plan.num_levels();
   std::array<VertexId, kMaxQueryVertices> bound{};
@@ -100,7 +110,7 @@ void enumerate_seed(const QueryGraph& query, const MatchPlan& plan,
   }
 
   std::int32_t level = 0;
-  if (!compute_candidates(plan, 0, bound, policy, counters, scratch)) return;
+  if (!compute_level(plan, 0, bound, policy, scratch)) return;
   scratch.cursor[0] = 0;
 
   while (level >= 0) {
@@ -132,8 +142,8 @@ void enumerate_seed(const QueryGraph& query, const MatchPlan& plan,
       continue;
     }
     ++level;
-    if (!compute_candidates(plan, static_cast<std::uint32_t>(level), bound,
-                            policy, counters, scratch)) {
+    if (!compute_level(plan, static_cast<std::uint32_t>(level), bound, policy,
+                       scratch)) {
       --level;
       continue;
     }
@@ -173,6 +183,7 @@ MatchStats MatchEngine::match_batch_with_plans(
   const std::size_t total = plans.size() * per_plan;
 
   std::vector<WorkerScratch> scratch(executor_.num_blocks());
+  const LaunchFold fold(scratch, policy, counters);
   SinkLock sink_lock(sink);
 
   const bool record_busy = per_block_busy_seconds != nullptr;
@@ -194,7 +205,7 @@ MatchStats MatchEngine::match_batch_with_plans(
       return;
     }
     Timer seed_timer;
-    enumerate_seed(query_, plan, graph, xa, xb, e.sign, policy, counters,
+    enumerate_seed(query_, plan, graph, xa, xb, e.sign, policy,
                    scratch[block], sink_lock, filter);
     if (record_busy) scratch[block].busy_seconds += seed_timer.seconds();
   });
@@ -215,6 +226,7 @@ MatchStats MatchEngine::match_full(const DynamicGraph& graph,
                                    gpusim::TrafficCounters& counters,
                                    const MatchSink* sink) {
   std::vector<WorkerScratch> scratch(executor_.num_blocks());
+  const LaunchFold fold(scratch, policy, counters);
   SinkLock sink_lock(sink);
   const MatchPlan& plan = static_plan_;
 
@@ -226,15 +238,14 @@ MatchStats MatchEngine::match_full(const DynamicGraph& graph,
         // Scan xa's live neighbors as seed targets (both orientations are
         // covered because every ordered pair (xa, xb) is its own item).
         WorkerScratch& s = scratch[block];
-        const NeighborView view = policy.fetch(xa, ViewMode::kNew, counters);
-        s.tmp.clear();
-        materialize_view(view, s.tmp);
-        charge_ops(policy, counters, s.tmp.size());
-        std::vector<VertexId> seeds = s.tmp;  // tmp is reused downstream
-        for (const VertexId xb : seeds) {
+        const NeighborView view = policy.fetch(xa, ViewMode::kNew, s.traffic);
+        s.seeds.clear();
+        materialize_view(view, s.seeds);
+        s.ops += s.seeds.size();
+        for (const VertexId xb : s.seeds) {
           if (!query_.label_matches(plan.seed_b, graph.label(xb))) continue;
-          enumerate_seed(query_, plan, graph, xa, xb, +1, policy, counters,
-                         s, sink_lock, nullptr);
+          enumerate_seed(query_, plan, graph, xa, xb, +1, policy, s,
+                         sink_lock, nullptr);
         }
       });
 

@@ -8,9 +8,12 @@
 //
 // Mechanics per seed edge, following STMatch: an explicit per-worker stack
 // of candidate buffers (no recursion), one level per pattern vertex beyond
-// the seed pair; candidates are produced by multi-way sorted intersection of
-// the constraint views; injectivity and label checks filter at bind time.
-// Work items (seed edges) are distributed across workers by work stealing.
+// the seed pair; a level's candidates come from the candidate kernel
+// (core/intersect.hpp), which intersects the constraint views where they
+// lie and writes only the result; injectivity and label checks filter at
+// bind time. Work items (seed edges) are distributed across workers by work
+// stealing. Each worker accumulates its traffic and charged ops privately;
+// they reach the caller's TrafficCounters once, when the launch ends.
 #pragma once
 
 #include <array>

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/intersect.hpp"
-#include "core/list_ref.hpp"
 #include "util/binomial.hpp"
 
 namespace gcsm {
@@ -22,8 +21,23 @@ struct WalkState {
   std::uint64_t ops = 0;
   std::array<VertexId, kMaxQueryVertices> bound{};
   std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
-  std::vector<VertexId> tmp;
+  KernelScratch kernel;
 };
+
+// The level's candidate set V, exactly as the matcher computes it (the same
+// kernel, so the same charged ops), over the graph's own views.
+std::uint64_t level_candidates(
+    const DynamicGraph& graph, const PlanLevel& pl,
+    const std::array<VertexId, kMaxQueryVertices>& bound,
+    std::vector<VertexId>& out, KernelScratch& kernel) {
+  return compute_candidates(
+      pl.constraints.size(),
+      [&](std::size_t i) {
+        const BackwardConstraint& c = pl.constraints[i];
+        return graph.view(bound[c.order_pos], c.view);
+      },
+      out, kernel);
+}
 
 // Visits the execution-tree node whose bindings are bound[0 .. 2+level-1]
 // with multiplicity `walks` and importance weight `weight`; records the
@@ -42,19 +56,8 @@ void walk_extend(WalkState& st, std::uint32_t level, std::uint64_t walks,
     (*st.freq)[st.bound[c.order_pos]] += static_cast<double>(walks) * weight;
   }
 
-  // Compute the candidate set V exactly as the matcher would.
-  auto& out = st.cand[level];
-  out.clear();
-  const auto& c0 = pl.constraints[0];
-  materialize_view(st.graph->view(st.bound[c0.order_pos], c0.view), out);
-  st.ops += out.size();
-  for (std::size_t i = 1; i < pl.constraints.size() && !out.empty(); ++i) {
-    const auto& c = pl.constraints[i];
-    st.tmp.clear();
-    materialize_view(st.graph->view(st.bound[c.order_pos], c.view), st.tmp);
-    st.ops += st.tmp.size();
-    st.ops += intersect_into(out, st.tmp.data(), st.tmp.size());
-  }
+  std::vector<VertexId>& out = st.cand[level];
+  st.ops += level_candidates(*st.graph, pl, st.bound, out, st.kernel);
 
   const std::uint32_t bound_count = 2 + level;
   for (const VertexId v : out) {
@@ -184,7 +187,7 @@ EstimateResult FrequencyEstimator::estimate_independent(
 
   std::array<VertexId, kMaxQueryVertices> bound{};
   std::vector<VertexId> cand;
-  std::vector<VertexId> tmp;
+  KernelScratch kernel;
   for (std::size_t p = 0; p < plans_.size(); ++p) {
     const MatchPlan& plan = plans_[p];
     if (seeds[p].empty()) continue;
@@ -202,18 +205,7 @@ EstimateResult FrequencyEstimator::estimate_independent(
         for (const BackwardConstraint& c : pl.constraints) {
           result.frequency[bound[c.order_pos]] += weight;
         }
-        cand.clear();
-        const auto& c0 = pl.constraints[0];
-        materialize_view(graph.view(bound[c0.order_pos], c0.view), cand);
-        result.ops += cand.size();
-        for (std::size_t i = 1; i < pl.constraints.size() && !cand.empty();
-             ++i) {
-          const auto& c = pl.constraints[i];
-          tmp.clear();
-          materialize_view(graph.view(bound[c.order_pos], c.view), tmp);
-          result.ops += tmp.size();
-          result.ops += intersect_into(cand, tmp.data(), tmp.size());
-        }
+        result.ops += level_candidates(graph, pl, bound, cand, kernel);
         // Filter to valid matching vertices.
         std::size_t wpos = 0;
         const std::uint32_t bound_count = 2 + level;

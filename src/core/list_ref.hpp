@@ -1,10 +1,10 @@
-// Materialization of neighbor-list views.
+// Decoding of neighbor-list views.
 //
 // A NeighborView is up to two sorted runs with tombstone semantics (see
-// graph/dynamic_graph.hpp). The enumeration engines materialize views into
-// per-worker scratch buffers of decoded live ids before intersecting; this
-// is what the STMatch-style kernel does when it merges N and ΔN ("perform
-// set operations involving N' separately for N and ΔN", paper Sec. V-C).
+// graph/dynamic_graph.hpp). The candidate kernel (core/intersect.hpp) reads
+// plain views where they lie and calls materialize_view only for the rare
+// multi-segment or tombstoned ones; host-side passes that need a list of
+// live ids (seed scans, partitioning, validation) call it directly.
 #pragma once
 
 #include <cstdint>

@@ -44,6 +44,21 @@ void TrafficCounters::reset() {
   cache_misses_.store(0, mo);
 }
 
+void TrafficCounters::add(const Traffic& t) {
+  device_bytes_.fetch_add(t.device_bytes, mo);
+  zero_copy_lines_.fetch_add(t.zero_copy_lines, mo);
+  zero_copy_bytes_.fetch_add(t.zero_copy_bytes, mo);
+  dma_calls_.fetch_add(t.dma_calls, mo);
+  dma_bytes_.fetch_add(t.dma_bytes, mo);
+  um_faults_.fetch_add(t.um_faults, mo);
+  um_hits_.fetch_add(t.um_hits, mo);
+  compute_ops_.fetch_add(t.compute_ops, mo);
+  host_ops_.fetch_add(t.host_ops, mo);
+  host_bytes_.fetch_add(t.host_bytes, mo);
+  cache_hits_.fetch_add(t.cache_hits, mo);
+  cache_misses_.fetch_add(t.cache_misses, mo);
+}
+
 Traffic TrafficCounters::snapshot() const {
   Traffic t;
   t.device_bytes = device_bytes_.load(mo);

@@ -85,6 +85,8 @@ class TrafficCounters {
  public:
   void reset();
   Traffic snapshot() const;
+  // Adds every field of `t` (folds a per-worker accumulator in).
+  void add(const Traffic& t);
 
   void add_device_bytes(std::uint64_t b) { device_bytes_.fetch_add(b, mo); }
   void add_zero_copy(std::uint64_t lines, std::uint64_t bytes) {

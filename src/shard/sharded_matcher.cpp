@@ -57,52 +57,47 @@ class RoutedShardPolicy final : public AccessPolicy {
   std::vector<std::unique_ptr<AccessPolicy>> policies_;
 };
 
-struct ShardScratch {
+// One per shard task, cache-line aligned so that concurrently running shard
+// tasks never share a line. The shard's traffic and charged ops accumulate
+// here without contention.
+struct alignas(64) ShardScratch {
   std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
   std::array<std::uint32_t, kMaxQueryVertices> cursor{};
-  std::vector<VertexId> tmp;
+  KernelScratch kernel;
+  std::vector<VertexId> seeds;  // match_full's seed targets
+  gpusim::TrafficCounters traffic;
+  std::uint64_t ops = 0;  // charged intersection/materialization ops
   MatchStats stats;
   std::uint64_t routed_items = 0;
   std::uint64_t migrated = 0;
+
+  // Charges the accumulated ops the way core/cpu_engine.cpp does: SIMT
+  // compute for device policies, host ops for the CPU fallback.
+  gpusim::Traffic charged_traffic(const AccessPolicy& policy) {
+    if (policy.on_device()) {
+      traffic.add_compute(ops);
+    } else {
+      traffic.add_host(ops, 0);
+    }
+    ops = 0;
+    return traffic.snapshot();
+  }
 };
 
-// Same charging rule as core/cpu_engine.cpp: SIMT compute for device
-// policies, host ops for the CPU fallback.
-void charge_ops(AccessPolicy& policy, gpusim::TrafficCounters& counters,
-                std::uint64_t ops) {
-  if (policy.on_device()) {
-    counters.add_compute(ops);
-  } else {
-    counters.add_host(ops, 0);
-  }
-}
-
-// Verbatim mechanics of core/cpu_engine.cpp's compute_candidates, so the
-// candidate sets (and charged op counts) match the single-device engine.
-bool compute_candidates(const MatchPlan& plan, std::uint32_t level,
-                        const std::array<VertexId, kMaxQueryVertices>& bound,
-                        AccessPolicy& policy,
-                        gpusim::TrafficCounters& counters,
-                        ShardScratch& scratch) {
+// The single-device candidate kernel, so the candidate sets and charged op
+// counts match the single-device engine.
+bool compute_level(const MatchPlan& plan, std::uint32_t level,
+                   const std::array<VertexId, kMaxQueryVertices>& bound,
+                   AccessPolicy& policy, ShardScratch& scratch) {
   const PlanLevel& pl = plan.levels[level];
-  auto& out = scratch.cand[level];
-  out.clear();
-  std::uint64_t ops = 0;
-
-  const auto& c0 = pl.constraints[0];
-  const NeighborView v0 = policy.fetch(bound[c0.order_pos], c0.view, counters);
-  materialize_view(v0, out);
-  ops += out.size();
-
-  for (std::size_t i = 1; i < pl.constraints.size() && !out.empty(); ++i) {
-    const auto& c = pl.constraints[i];
-    const NeighborView vi = policy.fetch(bound[c.order_pos], c.view, counters);
-    scratch.tmp.clear();
-    materialize_view(vi, scratch.tmp);
-    ops += scratch.tmp.size();
-    ops += intersect_into(out, scratch.tmp.data(), scratch.tmp.size());
-  }
-  charge_ops(policy, counters, ops);
+  std::vector<VertexId>& out = scratch.cand[level];
+  scratch.ops += compute_candidates(
+      pl.constraints.size(),
+      [&](std::size_t i) {
+        const BackwardConstraint& c = pl.constraints[i];
+        return policy.fetch(bound[c.order_pos], c.view, scratch.traffic);
+      },
+      out, scratch.kernel);
   return !out.empty();
 }
 
@@ -139,7 +134,6 @@ struct TaskCtx {
   const DynamicGraph* graph = nullptr;  // this shard's (labels are global)
   const GraphPartitioner* part = nullptr;
   AccessPolicy* policy = nullptr;
-  gpusim::TrafficCounters* counters = nullptr;
   ShardScratch* scratch = nullptr;
   SinkLock* sink = nullptr;
   std::vector<std::vector<Partial>>* outbox = nullptr;  // [target shard]
@@ -186,8 +180,7 @@ void expand_partial(TaskCtx& ctx, const Partial& p) {
 
   const auto base = static_cast<std::int32_t>(p.level);
   std::int32_t level = base;
-  if (!compute_candidates(plan, p.level, bound, *ctx.policy, *ctx.counters,
-                          scratch)) {
+  if (!compute_level(plan, p.level, bound, *ctx.policy, scratch)) {
     return;
   }
   scratch.cursor[level] = 0;
@@ -236,8 +229,8 @@ void expand_partial(TaskCtx& ctx, const Partial& p) {
       }
     }
     ++level;
-    if (!compute_candidates(plan, static_cast<std::uint32_t>(level), bound,
-                            *ctx.policy, *ctx.counters, scratch)) {
+    if (!compute_level(plan, static_cast<std::uint32_t>(level), bound,
+                       *ctx.policy, scratch)) {
       --level;
       continue;
     }
@@ -351,7 +344,6 @@ MatchStats ShardedMatcher::match_batch(
   }
 
   std::vector<ShardScratch> scratch(shards);
-  auto counters = std::make_unique<gpusim::TrafficCounters[]>(shards);
   std::vector<std::unique_ptr<RoutedShardPolicy>> policies;
   policies.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -371,7 +363,6 @@ MatchStats ShardedMatcher::match_batch(
     ctxs[s].graph = &sg.graph(s);
     ctxs[s].part = &sg.partitioner();
     ctxs[s].policy = policies[s].get();
-    ctxs[s].counters = &counters[s];
     ctxs[s].scratch = &scratch[s];
     ctxs[s].sink = &sink_lock;
     ctxs[s].outbox = &outboxes[s];
@@ -398,7 +389,8 @@ MatchStats ShardedMatcher::match_batch(
   if (per_shard_traffic != nullptr) {
     per_shard_traffic->clear();
     for (std::size_t s = 0; s < shards; ++s) {
-      per_shard_traffic->push_back(counters[s].snapshot());
+      per_shard_traffic->push_back(
+          scratch[s].charged_traffic(*policies[s]));
     }
   }
   if (stitch != nullptr) {
@@ -420,7 +412,6 @@ MatchStats ShardedMatcher::match_full(EngineKind effective_kind,
   const std::vector<std::vector<std::uint8_t>> stitch{static_stitch_};
 
   std::vector<ShardScratch> scratch(shards);
-  auto counters = std::make_unique<gpusim::TrafficCounters[]>(shards);
   std::vector<std::unique_ptr<RoutedShardPolicy>> policies;
   policies.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -440,7 +431,6 @@ MatchStats ShardedMatcher::match_full(EngineKind effective_kind,
     ctxs[s].graph = &sg.graph(s);
     ctxs[s].part = &sg.partitioner();
     ctxs[s].policy = policies[s].get();
-    ctxs[s].counters = &counters[s];
     ctxs[s].scratch = &scratch[s];
     ctxs[s].sink = &sink_lock;
     ctxs[s].outbox = &outboxes[s];
@@ -462,12 +452,11 @@ MatchStats ShardedMatcher::match_full(EngineKind effective_kind,
             // are covered because every ordered pair is its own item).
             ShardScratch& sc = *ctx.scratch;
             const NeighborView view =
-                ctx.policy->fetch(xa, ViewMode::kNew, *ctx.counters);
-            sc.tmp.clear();
-            materialize_view(view, sc.tmp);
-            charge_ops(*ctx.policy, *ctx.counters, sc.tmp.size());
-            const std::vector<VertexId> seeds = sc.tmp;  // tmp reused below
-            for (const VertexId xb : seeds) {
+                ctx.policy->fetch(xa, ViewMode::kNew, sc.traffic);
+            sc.seeds.clear();
+            materialize_view(view, sc.seeds);
+            sc.ops += sc.seeds.size();
+            for (const VertexId xb : sc.seeds) {
               if (!query_.label_matches(plan.seed_b, ctx.graph->label(xb))) {
                 continue;
               }

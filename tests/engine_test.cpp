@@ -23,62 +23,77 @@ namespace {
 
 // ----------------------------------------------------------- intersect ----
 
+// The intersection of plain sorted lists, through the candidate kernel.
+std::vector<VertexId> kernel_intersect(
+    const std::vector<const std::vector<VertexId>*>& lists) {
+  std::vector<VertexId> out;
+  KernelScratch scratch;
+  compute_candidates(
+      lists.size(),
+      [&](std::size_t i) {
+        NeighborView v;
+        v.prefix = {lists[i]->data(),
+                    static_cast<std::uint32_t>(lists[i]->size())};
+        return v;
+      },
+      out, scratch);
+  return out;
+}
+
 TEST(Intersect, BasicOverlap) {
   const std::vector<VertexId> a{1, 3, 5, 7, 9};
   const std::vector<VertexId> b{2, 3, 4, 7, 10};
-  std::vector<VertexId> out;
-  intersect_sorted(a.data(), a.size(), b.data(), b.size(), out);
-  EXPECT_EQ(out, (std::vector<VertexId>{3, 7}));
+  EXPECT_EQ(kernel_intersect({&a, &b}), (std::vector<VertexId>{3, 7}));
 }
 
 TEST(Intersect, EmptyInputs) {
   const std::vector<VertexId> a{1, 2, 3};
-  std::vector<VertexId> out{99};
-  intersect_sorted(a.data(), a.size(), nullptr, 0, out);
-  EXPECT_TRUE(out.empty());
-  intersect_sorted(nullptr, 0, a.data(), a.size(), out);
-  EXPECT_TRUE(out.empty());
+  const std::vector<VertexId> none;
+  EXPECT_TRUE(kernel_intersect({&a, &none}).empty());
+  EXPECT_TRUE(kernel_intersect({&none, &a}).empty());
 }
 
 TEST(Intersect, GallopingPathMatchesMergePath) {
-  Rng rng(21);
   // Short list vs very long list triggers galloping; cross-check with the
   // trivially correct std::set_intersection.
   std::vector<VertexId> big;
   for (VertexId v = 0; v < 10000; v += 3) big.push_back(v);
-  std::vector<VertexId> small{3, 999, 1000, 5001, 9999};
+  const std::vector<VertexId> small{3, 999, 1000, 5001, 9999};
   std::vector<VertexId> expect;
   std::set_intersection(small.begin(), small.end(), big.begin(), big.end(),
                         std::back_inserter(expect));
-  std::vector<VertexId> out;
-  intersect_sorted(small.data(), small.size(), big.data(), big.size(), out);
-  EXPECT_EQ(out, expect);
+  EXPECT_EQ(kernel_intersect({&small, &big}), expect);
   // Symmetric order.
-  intersect_sorted(big.data(), big.size(), small.data(), small.size(), out);
-  EXPECT_EQ(out, expect);
+  EXPECT_EQ(kernel_intersect({&big, &small}), expect);
 }
 
 TEST(Intersect, IntersectIntoMatchesFresh) {
+  // A third operand narrows the first pair's result in place; it must agree
+  // with intersecting the same lists from scratch.
   Rng rng(22);
   for (int trial = 0; trial < 50; ++trial) {
-    std::set<VertexId> sa, sb;
+    std::set<VertexId> sa, sb, sc;
     for (int i = 0; i < 60; ++i) {
       sa.insert(static_cast<VertexId>(rng.bounded(120)));
       sb.insert(static_cast<VertexId>(rng.bounded(120)));
+      sc.insert(static_cast<VertexId>(rng.bounded(120)));
     }
-    std::vector<VertexId> a(sa.begin(), sa.end());
+    const std::vector<VertexId> a(sa.begin(), sa.end());
     const std::vector<VertexId> b(sb.begin(), sb.end());
-    std::vector<VertexId> expect;
-    intersect_sorted(a.data(), a.size(), b.data(), b.size(), expect);
-    intersect_into(a, b.data(), b.size());
-    EXPECT_EQ(a, expect);
+    const std::vector<VertexId> c(sc.begin(), sc.end());
+    std::vector<VertexId> ab, expect;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(ab));
+    std::set_intersection(ab.begin(), ab.end(), c.begin(), c.end(),
+                          std::back_inserter(expect));
+    EXPECT_EQ(kernel_intersect({&a, &b, &c}), expect);
   }
 }
 
 TEST(Intersect, IntersectIntoEmptyOther) {
-  std::vector<VertexId> acc{1, 2, 3};
-  intersect_into(acc, nullptr, 0);
-  EXPECT_TRUE(acc.empty());
+  const std::vector<VertexId> acc{1, 2, 3};
+  const std::vector<VertexId> none;
+  EXPECT_TRUE(kernel_intersect({&acc, &acc, &none}).empty());
 }
 
 // ------------------------------------------------------------ DCSR --------

@@ -172,6 +172,12 @@ TEST(Robustness, SeedsCountedPerOrientationAndPlan) {
 
 // ---------------------------------------------------- intersect fuzz ------
 
+NeighborView plain_view(const std::vector<VertexId>& ids) {
+  NeighborView v;
+  v.prefix = {ids.data(), static_cast<std::uint32_t>(ids.size())};
+  return v;
+}
+
 TEST(Robustness, IntersectFuzzAgainstStl) {
   Rng rng(123);
   for (int trial = 0; trial < 200; ++trial) {
@@ -186,11 +192,16 @@ TEST(Robustness, IntersectFuzzAgainstStl) {
     }
     const std::vector<VertexId> a(sa.begin(), sa.end());
     const std::vector<VertexId> b(sb.begin(), sb.end());
-    std::vector<VertexId> expect, got;
+    std::vector<VertexId> expect;
     std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                           std::back_inserter(expect));
-    intersect_sorted(a.data(), a.size(), b.data(), b.size(), got);
-    ASSERT_EQ(got, expect) << "trial " << trial;
+    const std::vector<NeighborView> views{plain_view(a), plain_view(b)};
+    std::vector<VertexId> got;
+    KernelScratch scratch;
+    compute_candidates(
+        views.size(), [&](std::size_t i) { return views[i]; }, got, scratch);
+    ASSERT_EQ(got, expect)
+        << "trial " << trial;
   }
 }
 
