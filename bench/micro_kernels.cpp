@@ -1,15 +1,20 @@
 // Google-benchmark microbenchmarks for the library's primitives: the
-// candidate kernel every matcher runs (core/intersect.hpp), binomial
-// sampling, DCSR lookup, dynamic-graph updates, and the frequency
-// estimator. These are the hot paths of the matching kernel and the
-// Step-2/Step-5 host phases.
+// candidate kernel every matcher runs (core/intersect.hpp), the enumeration
+// DFS that drives it (core/enumerate.hpp), binomial sampling, DCSR lookup,
+// dynamic-graph updates, and the frequency estimator. These are the hot
+// paths of the matching kernel and the Step-2/Step-5 host phases.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "core/access_policy.hpp"
+#include "core/cpu_engine.hpp"
 #include "core/dcsr_cache.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/intersect.hpp"
+#include "core/workloads.hpp"
 #include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 #include "query/patterns.hpp"
@@ -113,6 +118,37 @@ void BM_IntersectSkewed(benchmark::State& state) {
 BENCHMARK(BM_IntersectSkewed)
     ->ArgsProduct(
         {{1 << 12, 1 << 16, 1 << 20}, {kPlain, kTombstoned, kAppended}});
+
+// The enumeration core (core/enumerate.hpp) on a fixed-seed SF3K-analog
+// batch with Q5 over 3 labels (perfbench's match-q5 shape, smaller): one
+// worker runs every delta plan over the batch, as a MatchEngine launch does. Arg 1 uses the candidate-set memo at its default size; arg 0
+// gives it no arena, so every level's set is computed.
+void BM_EnumerateBatch(benchmark::State& state) {
+  const CsrGraph csr = make_workload_graph("SF3K", 0.05, 3, 12);
+  const UpdateStream stream =
+      make_update_stream(csr, default_stream_options("SF3K", 256, 13));
+  DynamicGraph graph(stream.initial);
+  const EdgeBatch& batch = stream.batches[0];
+  graph.apply_batch(batch);
+  gpusim::SimtExecutor exec(1);
+  detail::MemoCapacity memo;
+  if (state.range(0) == 0) memo.arena_ids = 0;
+  MatchEngine engine(with_round_robin_labels(make_pattern(5), 3), exec, 2,
+                     memo);
+  HostPolicy policy(graph);
+  std::uint64_t embeddings = 0;
+  for (auto _ : state) {
+    gpusim::TrafficCounters counters;
+    const MatchStats stats = engine.match_batch(graph, batch, policy, counters);
+    embeddings += stats.positive + stats.negative;
+  }
+  state.counters["embeddings/batch"] = benchmark::Counter(
+      static_cast<double>(embeddings) /
+      static_cast<double>(std::max<std::int64_t>(1, state.iterations())));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * batch.updates.size()));
+}
+BENCHMARK(BM_EnumerateBatch)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_BinomialSmallP(benchmark::State& state) {
   Rng rng(5);

@@ -106,6 +106,8 @@ run_preset() {
     # Candidate kernel (block merge, gallop, in-place narrowing, view
     # decoding) against its reference on randomized views: the 8-wide loads
     # must never read past a segment end, which asan reports as an overflow.
+    # The same label runs the candidate-set memo's differential suite, whose
+    # iterated sets live in the memo's arena.
     if ! run ctest --preset kernel-asan -j "${JOBS}"; then
       failures+=("kernel-asan: tests")
     fi

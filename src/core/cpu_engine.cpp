@@ -1,8 +1,5 @@
 #include "core/cpu_engine.hpp"
 
-#include <mutex>
-
-#include "core/intersect.hpp"
 #include "core/list_ref.hpp"
 #include "util/timer.hpp"
 
@@ -10,18 +7,20 @@ namespace gcsm {
 namespace {
 
 // One per worker (block), cache-line aligned so that workers never share a
-// line. Traffic and charged ops accumulate here without contention and are
-// folded into the launch's counters once, by LaunchFold.
+// line. Traffic and charged ops accumulate in `dfs` without contention and
+// are folded into the launch's counters once, by LaunchFold.
 struct alignas(64) WorkerScratch {
-  std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
-  std::array<std::uint32_t, kMaxQueryVertices> cursor{};
-  KernelScratch kernel;
+  EnumerationScratch dfs;
   std::vector<VertexId> seeds;  // match_full's seed targets
-  gpusim::TrafficCounters traffic;
-  std::uint64_t ops = 0;  // charged intersection/materialization ops
-  MatchStats stats;
   double busy_seconds = 0.0;
 };
+
+std::vector<WorkerScratch> make_workers(std::size_t n,
+                                        detail::MemoCapacity memo) {
+  std::vector<WorkerScratch> workers(n);
+  for (WorkerScratch& w : workers) w.dfs.memo = CandidateMemo(memo);
+  return workers;
+}
 
 // Folds every worker's traffic and ops into the launch's counters when the
 // launch ends, including by a throw, so traffic charged before the throw
@@ -37,11 +36,11 @@ class LaunchFold {
   ~LaunchFold() {
     for (WorkerScratch& w : workers_) {
       if (policy_.on_device()) {
-        w.traffic.add_compute(w.ops);
+        w.dfs.traffic.add_compute(w.dfs.ops);
       } else {
-        w.traffic.add_host(w.ops, 0);
+        w.dfs.traffic.add_host(w.dfs.ops, 0);
       }
-      counters_.add(w.traffic.snapshot());
+      counters_.add(w.dfs.traffic.snapshot());
     }
   }
 
@@ -51,115 +50,16 @@ class LaunchFold {
   gpusim::TrafficCounters& counters_;
 };
 
-// Computes the candidate buffer for `level` of `plan` given the bindings so
-// far. Returns false if the candidate set is empty.
-bool compute_level(const MatchPlan& plan, std::uint32_t level,
-                   const std::array<VertexId, kMaxQueryVertices>& bound,
-                   AccessPolicy& policy, WorkerScratch& scratch) {
-  const PlanLevel& pl = plan.levels[level];
-  std::vector<VertexId>& out = scratch.cand[level];
-  scratch.ops += compute_candidates(
-      pl.constraints.size(),
-      [&](std::size_t i) {
-        const BackwardConstraint& c = pl.constraints[i];
-        return policy.fetch(bound[c.order_pos], c.view, scratch.traffic);
-      },
-      out, scratch.kernel);
-  return !out.empty();
-}
-
-class SinkLock {
- public:
-  explicit SinkLock(const MatchSink* sink) : sink_(sink) {}
-  void emit(const MatchPlan& plan,
-            std::span<const VertexId> binding, int sign) {
-    if (sink_ == nullptr) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    (*sink_)(plan, binding, sign);
-  }
-
- private:
-  const MatchSink* sink_;
-  std::mutex mu_;
-};
-
-// Explicit-stack DFS from one bound seed edge (the STMatch kernel shape).
-void enumerate_seed(const QueryGraph& query, const MatchPlan& plan,
-                    const DynamicGraph& graph, VertexId xa, VertexId xb,
-                    int sign, AccessPolicy& policy, WorkerScratch& scratch,
-                    SinkLock& sink, const CandidateFilter* filter) {
-  const std::uint32_t num_levels = plan.num_levels();
-  std::array<VertexId, kMaxQueryVertices> bound{};
-  bound[0] = xa;
-  bound[1] = xb;
-  ++scratch.stats.seeds;
-
-  auto emit = [&](std::uint32_t depth) {
-    scratch.stats.signed_embeddings += sign;
-    if (sign > 0) {
-      ++scratch.stats.positive;
-    } else {
-      ++scratch.stats.negative;
-    }
-    sink.emit(plan, std::span<const VertexId>(bound.data(), depth), sign);
-  };
-
-  if (num_levels == 0) {
-    emit(2);
-    return;
-  }
-
-  std::int32_t level = 0;
-  if (!compute_level(plan, 0, bound, policy, scratch)) return;
-  scratch.cursor[0] = 0;
-
-  while (level >= 0) {
-    auto& cand = scratch.cand[level];
-    auto& cur = scratch.cursor[level];
-    if (cur >= cand.size()) {
-      --level;
-      continue;
-    }
-    const VertexId v = cand[cur++];
-    const PlanLevel& pl = plan.levels[level];
-
-    // Label, injectivity, and optional index filters at bind time.
-    if (!query.label_matches(pl.query_vertex, graph.label(v))) continue;
-    bool duplicate = false;
-    const std::uint32_t bound_count = 2 + static_cast<std::uint32_t>(level);
-    for (std::uint32_t i = 0; i < bound_count; ++i) {
-      if (bound[i] == v) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    if (filter != nullptr && !filter->admits(pl.query_vertex, v)) continue;
-
-    bound[bound_count] = v;
-    if (static_cast<std::uint32_t>(level) + 1 == num_levels) {
-      emit(bound_count + 1);
-      continue;
-    }
-    ++level;
-    if (!compute_level(plan, static_cast<std::uint32_t>(level), bound, policy,
-                       scratch)) {
-      --level;
-      continue;
-    }
-    scratch.cursor[level] = 0;
-  }
-}
-
 }  // namespace
 
 MatchEngine::MatchEngine(QueryGraph query, gpusim::SimtExecutor& executor,
-                         std::size_t grain)
+                         std::size_t grain, detail::MemoCapacity memo)
     : query_(std::move(query)),
       static_plan_(make_static_plan(query_)),
       delta_plans_(make_delta_plans(query_)),
       executor_(executor),
-      grain_(grain) {}
+      grain_(grain),
+      memo_(memo) {}
 
 MatchStats MatchEngine::match_batch(const DynamicGraph& graph,
                                     const EdgeBatch& batch,
@@ -182,9 +82,11 @@ MatchStats MatchEngine::match_batch_with_plans(
   const std::size_t per_plan = batch.updates.size() * 2;
   const std::size_t total = plans.size() * per_plan;
 
-  std::vector<WorkerScratch> scratch(executor_.num_blocks());
+  std::vector<WorkerScratch> scratch =
+      make_workers(executor_.num_blocks(), memo_);
   const LaunchFold fold(scratch, policy, counters);
   SinkLock sink_lock(sink);
+  const EnumerationEnv env{query_, graph, policy, sink_lock, filter, nullptr};
 
   const bool record_busy = per_block_busy_seconds != nullptr;
   executor_.for_each_item(total, grain_, [&](std::size_t item,
@@ -205,13 +107,14 @@ MatchStats MatchEngine::match_batch_with_plans(
       return;
     }
     Timer seed_timer;
-    enumerate_seed(query_, plan, graph, xa, xb, e.sign, policy,
-                   scratch[block], sink_lock, filter);
-    if (record_busy) scratch[block].busy_seconds += seed_timer.seconds();
+    WorkerScratch& s = scratch[block];
+    ++s.dfs.stats.seeds;
+    enumerate(env, plan, 0, Bindings{xa, xb}, e.sign, s.dfs);
+    if (record_busy) s.busy_seconds += seed_timer.seconds();
   });
 
   MatchStats stats;
-  for (const WorkerScratch& s : scratch) stats += s.stats;
+  for (const WorkerScratch& s : scratch) stats += s.dfs.stats;
   if (per_block_busy_seconds != nullptr) {
     per_block_busy_seconds->clear();
     for (const WorkerScratch& s : scratch) {
@@ -225,9 +128,11 @@ MatchStats MatchEngine::match_full(const DynamicGraph& graph,
                                    AccessPolicy& policy,
                                    gpusim::TrafficCounters& counters,
                                    const MatchSink* sink) {
-  std::vector<WorkerScratch> scratch(executor_.num_blocks());
+  std::vector<WorkerScratch> scratch =
+      make_workers(executor_.num_blocks(), memo_);
   const LaunchFold fold(scratch, policy, counters);
   SinkLock sink_lock(sink);
+  const EnumerationEnv env{query_, graph, policy, sink_lock, nullptr, nullptr};
   const MatchPlan& plan = static_plan_;
 
   executor_.for_each_item(
@@ -238,19 +143,20 @@ MatchStats MatchEngine::match_full(const DynamicGraph& graph,
         // Scan xa's live neighbors as seed targets (both orientations are
         // covered because every ordered pair (xa, xb) is its own item).
         WorkerScratch& s = scratch[block];
-        const NeighborView view = policy.fetch(xa, ViewMode::kNew, s.traffic);
+        const NeighborView view =
+            policy.fetch(xa, ViewMode::kNew, s.dfs.traffic);
         s.seeds.clear();
         materialize_view(view, s.seeds);
-        s.ops += s.seeds.size();
+        s.dfs.ops += s.seeds.size();
         for (const VertexId xb : s.seeds) {
           if (!query_.label_matches(plan.seed_b, graph.label(xb))) continue;
-          enumerate_seed(query_, plan, graph, xa, xb, +1, policy, s,
-                         sink_lock, nullptr);
+          ++s.dfs.stats.seeds;
+          enumerate(env, plan, 0, Bindings{xa, xb}, +1, s.dfs);
         }
       });
 
   MatchStats stats;
-  for (const WorkerScratch& s : scratch) stats += s.stats;
+  for (const WorkerScratch& s : scratch) stats += s.dfs.stats;
   return stats;
 }
 

@@ -6,23 +6,20 @@
 // fairness setup ("all the GPU versions use the same GPU kernel adapted from
 // STMatch").
 //
-// Mechanics per seed edge, following STMatch: an explicit per-worker stack
-// of candidate buffers (no recursion), one level per pattern vertex beyond
-// the seed pair; a level's candidates come from the candidate kernel
-// (core/intersect.hpp), which intersects the constraint views where they
-// lie and writes only the result; injectivity and label checks filter at
-// bind time. Work items (seed edges) are distributed across workers by work
+// Each seed edge runs the enumeration core (core/enumerate.hpp): the
+// explicit-stack DFS whose levels iterate label-filtered candidate sets from
+// the candidate kernel, with injectivity and the optional CandidateFilter
+// checked at bind time and a per-worker candidate-set memo scoped to the
+// seed. Work items (seed edges) are distributed across workers by work
 // stealing. Each worker accumulates its traffic and charged ops privately;
 // they reach the caller's TrafficCounters once, when the launch ends.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "core/access_policy.hpp"
+#include "core/enumerate.hpp"
 #include "gpusim/simt_executor.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "query/plan.hpp"
@@ -30,40 +27,13 @@
 
 namespace gcsm {
 
-struct MatchStats {
-  std::int64_t signed_embeddings = 0;  // net change in embedding count
-  std::uint64_t positive = 0;          // embeddings created by the batch
-  std::uint64_t negative = 0;          // embeddings destroyed by the batch
-  std::uint64_t seeds = 0;             // seed edges enumerated
-
-  MatchStats& operator+=(const MatchStats& o) {
-    signed_embeddings += o.signed_embeddings;
-    positive += o.positive;
-    negative += o.negative;
-    seeds += o.seeds;
-    return *this;
-  }
-};
-
-// Called under a lock for every embedding found: binding[i] is the data
-// vertex matched to the plan's vertex_order[i]; sign is +1/-1.
-using MatchSink =
-    std::function<void(const MatchPlan&, std::span<const VertexId>, int)>;
-
-// Optional per-query-vertex candidate filter (used by the RapidFlow-like
-// baseline's candidate index).
-class CandidateFilter {
- public:
-  virtual ~CandidateFilter() = default;
-  virtual bool admits(std::uint32_t query_vertex, VertexId v) const = 0;
-};
-
 class MatchEngine {
  public:
   // Plans may come from make_delta_plans / make_static_plan or be custom
-  // (e.g. candidate-size-ordered for the RF-like baseline).
+  // (e.g. candidate-size-ordered for the RF-like baseline). `memo` sizes the
+  // per-worker candidate-set memo; only tests change it.
   MatchEngine(QueryGraph query, gpusim::SimtExecutor& executor,
-              std::size_t grain = 2);
+              std::size_t grain = 2, detail::MemoCapacity memo = {});
 
   const QueryGraph& query() const { return query_; }
   const std::vector<MatchPlan>& delta_plans() const { return delta_plans_; }
@@ -102,6 +72,7 @@ class MatchEngine {
   std::vector<MatchPlan> delta_plans_;
   gpusim::SimtExecutor& executor_;
   std::size_t grain_;
+  detail::MemoCapacity memo_;
 };
 
 }  // namespace gcsm

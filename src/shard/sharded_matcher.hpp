@@ -1,10 +1,10 @@
 // The cross-shard delta-join enumerator (DESIGN.md, "Multi-device
 // sharding").
 //
-// Replicates core/cpu_engine.cpp's STMatch-shaped enumeration exactly —
-// same work-item space (plan x ΔE record x orientation), same candidate
-// intersections, same bind-time label/injectivity checks, same op charging —
-// but distributes it Pregel-style across shards:
+// Runs the enumeration core (core/enumerate.hpp) that MatchEngine runs, over
+// the same work-item space (plan x ΔE record x orientation) with the same
+// candidate sets and op charging, but distributes it Pregel-style across
+// shards:
 //
 //   * every seed work item is routed to owner(xa), the shard owning the
 //     delta edge's first endpoint; since each (plan, record, orientation)
@@ -14,8 +14,9 @@
 //     RoutedShardPolicy that forwards each fetch to the owning shard's
 //     policy (cache, zero-copy, UM, or host — mirroring the engine kind);
 //   * at BRANCH levels (query/branch_plan.hpp) whose anchor is remote, the
-//     partial match migrates to the anchor's owner via per-shard outboxes,
-//     drained in barrier-separated supersteps until no partials remain.
+//     core's descent hook ships the partial match to the anchor's owner via
+//     per-shard outboxes, drained in barrier-separated supersteps until no
+//     partials remain. Each partial is one scope of the candidate-set memo.
 //
 // Exactness: owner(v)'s views are byte-identical to the single-device
 // graph's (ShardedGraph invariant), so candidate sets — hence emitted
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/enumerate.hpp"
 #include "core/phases.hpp"
 #include "query/branch_plan.hpp"
 #include "shard/sharded_graph.hpp"
@@ -43,8 +45,9 @@ struct StitchStats {
 
 class ShardedMatcher {
  public:
+  // `memo` sizes each shard task's candidate-set memo; only tests change it.
   ShardedMatcher(QueryGraph query, std::size_t num_shards,
-                 std::size_t grain = 2);
+                 std::size_t grain = 2, detail::MemoCapacity memo = {});
 
   const QueryGraph& query() const { return query_; }
   const std::vector<MatchPlan>& delta_plans() const { return delta_plans_; }
@@ -77,6 +80,7 @@ class ShardedMatcher {
   std::vector<std::uint8_t> static_stitch_;
   std::size_t num_shards_;
   std::size_t grain_;
+  detail::MemoCapacity memo_;
 };
 
 }  // namespace gcsm::shard
