@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/recovery.hpp"
 #include "util/durable_io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -158,56 +159,29 @@ void DurabilityManager::append_and_sync(wal::RecordType type,
                                         std::uint64_t seq,
                                         const std::string& payload) {
   ensure_writer();
-  int attempts = std::max(1, options_.max_write_attempts);
   bool written = false;
-  for (;;) {
-    try {
-      // append throws BEFORE any byte reaches the file, so re-appending on
-      // retry is safe; a failed fsync retry must NOT re-append.
-      if (!written) writer_->append(type, seq, payload);
-      written = true;
-      writer_->sync();
-      return;
-    } catch (const CrashError&) {
-      throw;
-    } catch (const Error& e) {
-      if (!e.transient() || --attempts <= 0) throw;
-    }
-  }
+  retry_transient(options_.max_write_attempts, [&] {
+    // append throws BEFORE any byte reaches the file, so re-appending on
+    // retry is safe; a failed fsync retry must NOT re-append.
+    if (!written) writer_->append(type, seq, payload);
+    written = true;
+    writer_->sync();
+  });
 }
 
 void DurabilityManager::append_with_retry(wal::RecordType type,
                                           std::uint64_t seq,
                                           const std::string& payload) {
   ensure_writer();
-  int attempts = std::max(1, options_.max_write_attempts);
-  for (;;) {
-    try {
-      // append throws BEFORE any byte reaches the file, so re-appending on
-      // a transient refusal is safe.
-      writer_->append(type, seq, payload);
-      return;
-    } catch (const CrashError&) {
-      throw;
-    } catch (const Error& e) {
-      if (!e.transient() || --attempts <= 0) throw;
-    }
-  }
+  // append throws BEFORE any byte reaches the file, so re-appending on a
+  // transient refusal is safe.
+  retry_transient(options_.max_write_attempts,
+                  [&] { writer_->append(type, seq, payload); });
 }
 
 void DurabilityManager::sync_with_retry() {
   ensure_writer();
-  int attempts = std::max(1, options_.max_write_attempts);
-  for (;;) {
-    try {
-      writer_->sync();
-      return;
-    } catch (const CrashError&) {
-      throw;
-    } catch (const Error& e) {
-      if (!e.transient() || --attempts <= 0) throw;
-    }
-  }
+  retry_transient(options_.max_write_attempts, [&] { writer_->sync(); });
 }
 
 void DurabilityManager::committer_loop() {
@@ -345,22 +319,19 @@ bool DurabilityManager::snapshot_now(
       metrics::Registry::global().counter(metric::kSnapshotFailures);
   static auto& m_compactions =
       metrics::Registry::global().counter(metric::kWalCompactions);
-  int attempts = std::max(1, options_.max_write_attempts);
-  for (;;) {
-    try {
+  try {
+    retry_transient(options_.max_write_attempts, [&] {
       durable::write_snapshot_file(snapshot_path_, graph.snapshot_full(),
                                    counters, options_.fsync, faults_);
-      break;
-    } catch (const CrashError&) {
-      throw;
-    } catch (const Error& e) {
-      if (e.transient() && --attempts > 0) continue;
-      // A failed snapshot never loses data: the WAL still covers every
-      // committed batch. Skip this interval and try again at the next one.
-      warn(nullptr, std::string("snapshot skipped: ") + e.what());
-      m_failures.add();
-      return false;
-    }
+    });
+  } catch (const CrashError&) {
+    throw;
+  } catch (const Error& e) {
+    // A failed snapshot never loses data: the WAL still covers every
+    // committed batch. Skip this interval and try again at the next one.
+    warn(nullptr, std::string("snapshot skipped: ") + e.what());
+    m_failures.add();
+    return false;
   }
   commits_since_snapshot_ = 0;
   try {

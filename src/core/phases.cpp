@@ -24,6 +24,11 @@ const char* engine_kind_name(EngineKind kind) {
   return "?";
 }
 
+bool uses_device_cache(EngineKind kind) {
+  return kind == EngineKind::kGcsm || kind == EngineKind::kNaiveDegree ||
+         kind == EngineKind::kVsgm;
+}
+
 PipelineMetrics::PipelineMetrics(std::string prefix)
     : prefix_(std::move(prefix)),
       span_batch_(prefix_ + "pipeline.batch"),
@@ -114,6 +119,31 @@ void PipelineMetrics::record_batch(const BatchReport& report) const {
   if (report.backoff_ms > 0.0) backoff_ms_.observe(report.backoff_ms);
 }
 
+BatchSanitizer graph_sanitizer(const DynamicGraph& graph) {
+  return [&graph](const EdgeBatch& batch, QuarantineReport& quarantine) {
+    return sanitize_batch(graph, batch, quarantine);
+  };
+}
+
+const EdgeBatch& phase_ingest(const EdgeBatch& batch, FaultInjector* faults,
+                              bool sanitize, const BatchSanitizer& sanitizer,
+                              EdgeBatch& owned, QuarantineReport& quarantine) {
+  const EdgeBatch* use = &batch;
+  if (faults != nullptr) {
+    owned = batch;
+    inject_batch_corruption(owned, faults);
+    use = &owned;
+  }
+  if (sanitize) {
+    EdgeBatch clean = sanitizer(*use, quarantine);
+    if (!quarantine.empty()) {
+      owned = std::move(clean);
+      use = &owned;
+    }
+  }
+  return *use;
+}
+
 void phase_update(DynamicGraph& graph, const EdgeBatch& batch,
                   bool check_invariants, const PipelineMetrics& pm,
                   BatchReport& report) {
@@ -173,10 +203,7 @@ void phase_pack(EngineKind kind, DcsrCache& cache, const DynamicGraph& graph,
                 gpusim::TrafficCounters& counters, bool check_invariants,
                 const gpusim::SimParams& sim, const PipelineMetrics& pm,
                 BatchReport& report, bool staged) {
-  const bool uses_cache = kind == EngineKind::kGcsm ||
-                          kind == EngineKind::kNaiveDegree ||
-                          kind == EngineKind::kVsgm;
-  if (!uses_cache) return;
+  if (!uses_device_cache(kind)) return;
   const trace::Span span(pm.span_pack());
   const Timer t;
   if (!staged) cache.clear();

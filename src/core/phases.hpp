@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,9 +43,12 @@ enum class EngineKind {
 };
 
 const char* engine_kind_name(EngineKind kind);
+// The kinds that pack a DCSR cache on the device: GCSM, Naive and VSGM.
+bool uses_device_cache(EngineKind kind);
 
-// Knobs of the transactional retry / degradation ladder. The defaults favor
-// forward progress: a handful of device retries, then a CPU re-run.
+// Knobs of the transactional retry / degradation ladder (core/recovery.hpp
+// owns the policy). The defaults favor forward progress: a handful of device
+// retries, then a CPU re-run.
 struct RecoveryOptions {
   // Attempts on the configured engine before escalating (>= 1; the first
   // run counts as one attempt).
@@ -187,6 +191,21 @@ class PipelineMetrics {
   metrics::Histogram& reorg_ms_;
   metrics::Histogram& backoff_ms_;
 };
+
+// Screens one batch: returns the well-formed records, counting the rest
+// into the report (sanitize_batch, or a sharded graph's own screen).
+using BatchSanitizer =
+    std::function<EdgeBatch(const EdgeBatch&, QuarantineReport&)>;
+// The single-device screen: sanitize_batch against `graph`.
+BatchSanitizer graph_sanitizer(const DynamicGraph& graph);
+
+// Ingestion, ahead of step 1: the batch.corrupt fault site, then (with
+// `sanitize`) the screen, which fills `quarantine`. Returns `batch` when
+// neither changed it, else the modified copy, which `owned` keeps. The
+// caller's batch is never mutated.
+const EdgeBatch& phase_ingest(const EdgeBatch& batch, FaultInjector* faults,
+                              bool sanitize, const BatchSanitizer& sanitizer,
+                              EdgeBatch& owned, QuarantineReport& quarantine);
 
 // Step 1: dynamic graph maintenance on the CPU. Fills wall_update_ms.
 void phase_update(DynamicGraph& graph, const EdgeBatch& batch,

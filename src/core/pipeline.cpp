@@ -23,7 +23,8 @@ Pipeline::Pipeline(const CsrGraph& initial, QueryGraph query,
       rng_(options.seed),
       faults_(options.fault_injector),
       durability_(options.durability, options.fault_injector),
-      metrics_(options.metric_prefix) {
+      metrics_(options.metric_prefix),
+      budget_(options_.recovery) {
   device_.set_fault_injector(faults_);
   executor_.set_fault_injector(faults_);
   executor_.set_watchdog_timeout_ms(options_.recovery.watchdog_timeout_ms);
@@ -82,9 +83,7 @@ Pipeline::Pipeline(const CsrGraph& initial, QueryGraph query,
 }
 
 std::uint64_t Pipeline::effective_cache_budget() const {
-  const std::uint64_t shrunk =
-      options_.cache_budget_bytes >> degradation_level_;
-  return std::max(shrunk, options_.recovery.min_cache_budget_bytes);
+  return budget_.effective(options_.cache_budget_bytes);
 }
 
 std::unique_ptr<AccessPolicy> Pipeline::make_policy(EngineKind kind) {
@@ -151,122 +150,44 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
                                     const MatchSink* sink) {
   const trace::Span batch_span(metrics_.span_batch());
   BatchReport report;
-  const RecoveryOptions& rec = options_.recovery;
   const std::uint64_t faults_before =
       faults_ != nullptr ? faults_->fired_count() : 0;
 
-  // Ingestion: corrupt (fault site), then screen. `owned` keeps whichever
-  // modified copy is in play; the caller's batch is never mutated.
   EdgeBatch owned;
-  const EdgeBatch* use = &batch;
-  if (faults_ != nullptr) {
-    owned = batch;
-    inject_batch_corruption(owned, faults_);
-    use = &owned;
-  }
-  if (rec.sanitize_batches) {
-    QuarantineReport quarantine;
-    EdgeBatch clean = sanitize_batch(graph_, *use, quarantine);
-    if (!quarantine.empty()) {
-      owned = std::move(clean);
-      use = &owned;
-    }
-    report.quarantine = std::move(quarantine);
-  }
+  const EdgeBatch& use = phase_ingest(
+      batch, faults_, options_.recovery.sanitize_batches,
+      graph_sanitizer(graph_), owned, report.quarantine);
 
   // Durable logging (step 1 of the commit protocol): the sanitized batch
   // reaches stable storage before the graph is touched, so recovery replays
   // exactly the bytes that ran. Recovery replay itself is not re-logged.
   std::uint64_t wal_seq = 0;
   if (options_.durability.enabled() && !replaying_) {
-    wal_seq = durability_.begin_batch(*use);
+    wal_seq = durability_.begin_batch(use);
     report.wal_seq = wal_seq;
   }
 
   // The transaction: everything the batch can touch, restorable even from a
-  // half-applied state.
-  const DynamicGraph::Snapshot snap = graph_.snapshot_for(*use);
+  // half-applied state. Escalation re-runs the batch on the CPU engine.
+  const DynamicGraph::Snapshot snap = graph_.snapshot_for(use);
   auto rollback = [&] {
     graph_.restore(snap);
     cache_.clear();
     if (options_.check_invariants) graph_.validate();
   };
+  const Transaction txn{
+      [&](bool use_cpu) { run_attempt(use, sink, use_cpu, report); },
+      rollback,
+      [&] { return budget_.shrink(options_.cache_budget_bytes, metrics_); },
+      options_.kind == EngineKind::kVsgm};
+  const bool on_cpu =
+      run_transaction(options_.recovery, options_.kind == EngineKind::kCpu,
+                      txn, parker_, report);
+  report.cpu_fallback = on_cpu && options_.kind != EngineKind::kCpu;
+  // Only a batch that stayed on the device counts toward healing.
+  if (!on_cpu) budget_.settle(report.retries == 0);
 
-  bool use_cpu = options_.kind == EngineKind::kCpu;
-  int attempts_left = std::max(1, rec.max_attempts);
-  double backoff_ms = rec.backoff_initial_ms;
-
-  // Consumes one attempt; when the current mode is out of attempts, either
-  // escalates to the CPU engine or gives up by rethrowing `error`.
-  auto retry_or_escalate = [&](const std::exception_ptr& error) {
-    ++report.retries;
-    --attempts_left;
-    if (attempts_left <= 0) {
-      if (!use_cpu && rec.cpu_fallback) {
-        use_cpu = true;
-        attempts_left = std::max(1, rec.max_cpu_attempts);
-        report.cpu_fallback = true;
-      } else {
-        std::rethrow_exception(error);
-      }
-    }
-    if (backoff_ms > 0.0) {
-      // Interruptible parking, not a blocking sleep: the delay is bounded
-      // but teardown (or an eager caller) can cut it short.
-      parker_.park_for_ms(backoff_ms);
-      report.backoff_ms += backoff_ms;
-      backoff_ms = std::min(backoff_ms * rec.backoff_multiplier,
-                            rec.backoff_max_ms);
-    }
-  };
-
-  for (;;) {
-    try {
-      run_attempt(*use, sink, use_cpu, report);
-      break;
-    } catch (const gpusim::DeviceOomError&) {
-      rollback();
-      if (options_.kind == EngineKind::kVsgm) {
-        // Semantic OOM: the k-hop neighborhood must be device-resident, so
-        // no amount of shrinking or retrying helps.
-        throw;
-      }
-      if (!use_cpu &&
-          effective_cache_budget() > rec.min_cache_budget_bytes) {
-        ++degradation_level_;
-        metrics_.note_degradation();
-        clean_device_batches_ = 0;
-        ++report.retries;
-      } else {
-        retry_or_escalate(std::current_exception());
-      }
-    } catch (const Error& e) {
-      rollback();
-      if (!e.transient()) throw;
-      retry_or_escalate(std::current_exception());
-    } catch (...) {
-      // Unclassified failures (CheckFailure, logic errors) still leave a
-      // consistent graph behind, but are not retried.
-      rollback();
-      throw;
-    }
-  }
-
-  // Degradation heals: enough consecutive clean device batches earn the
-  // budget one doubling back toward the configured value. A batch that
-  // needed any recovery is not clean (including the one that shrank) and
-  // restarts the streak.
-  if (!use_cpu && degradation_level_ > 0) {
-    if (report.retries != 0) {
-      clean_device_batches_ = 0;
-    } else if (++clean_device_batches_ >=
-               std::max(1, rec.heal_after_clean_batches)) {
-      --degradation_level_;
-      clean_device_batches_ = 0;
-    }
-  }
-
-  report.degradation_level = degradation_level_;
+  report.degradation_level = budget_.level();
   report.effective_cache_budget = effective_cache_budget();
   if (faults_ != nullptr) {
     report.faults_observed = faults_->fired_count() - faults_before;

@@ -8,6 +8,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -78,7 +79,8 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
       metrics_(options_.metric_prefix),
       match_pool_(options_.match_parallelism),
       seed_root_(options_.seed),
-      initial_(options_.durability.enabled() ? initial : CsrGraph{}) {
+      initial_(options_.durability.enabled() ? initial : CsrGraph{}),
+      budget_(options_.recovery) {
   device_.set_fault_injector(faults_);
   graph_.set_fault_injector(faults_);
   if (!options_.durability.enabled()) return;
@@ -237,9 +239,7 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
 }
 
 std::uint64_t MultiQueryEngine::effective_cache_budget() const {
-  const std::uint64_t shrunk =
-      options_.cache_budget_bytes >> degradation_level_;
-  return std::max(shrunk, options_.recovery.min_cache_budget_bytes);
+  return budget_.effective(options_.cache_budget_bytes);
 }
 
 std::unique_ptr<MultiQueryEngine::QueryState> MultiQueryEngine::make_state(
@@ -502,10 +502,7 @@ void MultiQueryEngine::run_shared_attempt(const EdgeBatch& batch,
   // Step 1: dynamic graph maintenance — once for every query.
   phase_update(graph_, batch, options_.check_invariants, metrics_, shared);
 
-  const bool uses_cache = options_.kind == EngineKind::kGcsm ||
-                          options_.kind == EngineKind::kNaiveDegree ||
-                          options_.kind == EngineKind::kVsgm;
-  if (drop_cache || !uses_cache) {
+  if (drop_cache || !uses_device_cache(options_.kind)) {
     // Terminal degradation under the pipelined schedule also clears the
     // previous ACTIVE epoch, so "served zero-copy" means the same thing on
     // both schedules (an empty cache, not a stale one).
@@ -601,7 +598,6 @@ void MultiQueryEngine::run_match_fanout(
     const std::function<void()>& staging,
     const std::vector<MatchSink>* sink_override) {
   using Clock = std::chrono::steady_clock;
-  const RecoveryOptions& rec = options_.recovery;
 
   // One shared ready-queue instead of a static partition: a retrying query
   // parks here with a ready-at deadline while its backoff elapses, so the
@@ -610,14 +606,11 @@ void MultiQueryEngine::run_match_fanout(
   // everyone behind its exponential backoff).
   struct Task {
     std::size_t index = 0;
-    bool use_cpu = false;
-    int attempts_left = 0;
-    double backoff_ms = 0.0;
-    // Backoff accumulated by THIS task so far. Folded into the query's
-    // report exactly once, at a terminal outcome — the report field is
+    // Its backoff stays task-local (waited_ms) until a terminal outcome
+    // folds it into the query's report exactly once — the report field is
     // shared with the completion bookkeeping, and accumulating it from the
-    // retry path on every park interleaved with other workers' reads.
-    double backoff_total = 0.0;
+    // retry path on every requeue interleaved with other workers' reads.
+    RetryLadder ladder;
     Clock::time_point ready_at;
   };
   std::mutex mu;
@@ -633,9 +626,9 @@ void MultiQueryEngine::run_match_fanout(
       out.queries[i].skipped = true;
       continue;
     }
-    queue.push_back(Task{i, options_.kind == EngineKind::kCpu,
-                         std::max(1, rec.max_attempts),
-                         rec.backoff_initial_ms, 0.0, now0});
+    queue.push_back(Task{
+        i, RetryLadder(options_.recovery, options_.kind == EngineKind::kCpu),
+        now0});
   }
   if (queue.empty()) {
     // No match work this batch, but the pipelined schedule may still owe
@@ -652,7 +645,7 @@ void MultiQueryEngine::run_match_fanout(
   match_pool_.run_on_all([&](std::size_t) {
     if (!staging_claimed.exchange(true)) staging();
     for (;;) {
-      Task task;
+      std::optional<Task> claimed;
       {
         std::unique_lock<std::mutex> lk(mu);
         for (;;) {
@@ -674,13 +667,14 @@ void MultiQueryEngine::run_match_fanout(
             cv.wait_until(lk, it->ready_at);
             continue;
           }
-          task = *it;
+          claimed = *it;
           queue.erase(it);
           ++in_flight;
           break;
         }
       }
 
+      Task& task = *claimed;
       QueryState& qs = *states_[task.index];
       QueryReport& q = out.queries[task.index];
       const MatchSink* sink = nullptr;
@@ -694,7 +688,7 @@ void MultiQueryEngine::run_match_fanout(
       bool retryable = false;
       std::exception_ptr error;
       try {
-        match_attempt(qs, batch, task.use_cpu, sink, q.report);
+        match_attempt(qs, batch, task.ladder.escalated(), sink, q.report);
         ok = true;
       } catch (const Error& e) {
         // The match phase is read-only on the shared graph, so no rollback
@@ -709,43 +703,31 @@ void MultiQueryEngine::run_match_fanout(
 
       const std::lock_guard<std::mutex> lk(mu);
       --in_flight;
-      if (ok) {
-        q.report.backoff_ms += task.backoff_total;
-        if (roles[task.index] == MatchRole::kMatch) {
-          q.report.degradation_level = degradation_level_;
-          q.report.effective_cache_budget = effective_cache_budget();
-          qs.metrics->record_batch(q.report);
-        }
-      } else if (!retryable) {
-        q.report.backoff_ms += task.backoff_total;
-        outcomes[task.index] = MatchOutcome{error, false};
-      } else {
+      if (retryable) {
         ++q.report.retries;
-        Task next = task;
-        --next.attempts_left;
-        if (next.attempts_left <= 0) {
-          if (!next.use_cpu && rec.cpu_fallback) {
-            next.use_cpu = true;
-            next.attempts_left = std::max(1, rec.max_cpu_attempts);
+        const RetryLadder::Step step = task.ladder.fail();
+        if (step != RetryLadder::Step::kGiveUp) {
+          if (step == RetryLadder::Step::kEscalate) {
             q.report.cpu_fallback = true;
-          } else {
-            q.report.backoff_ms += task.backoff_total;
-            outcomes[task.index] = MatchOutcome{error, true};
-            cv.notify_all();
-            continue;
           }
+          // Requeue with a ready-at deadline instead of sleeping on a slot.
+          task.ready_at =
+              Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double, std::milli>(
+                                     task.ladder.next_backoff_ms()));
+          queue.push_back(task);
+          cv.notify_all();
+          continue;
         }
-        // Park until the backoff elapses instead of sleeping on a slot. The
-        // backoff stays task-local (backoff_total) until a terminal outcome
-        // merges it into the report in one step.
-        next.ready_at =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(
-                                   next.backoff_ms));
-        next.backoff_total += next.backoff_ms;
-        next.backoff_ms = std::min(next.backoff_ms * rec.backoff_multiplier,
-                                   rec.backoff_max_ms);
-        queue.push_back(next);
+      }
+      // A terminal outcome.
+      q.report.backoff_ms += task.ladder.waited_ms();
+      if (!ok) {
+        outcomes[task.index] = MatchOutcome{error, retryable};
+      } else if (roles[task.index] == MatchRole::kMatch) {
+        q.report.degradation_level = budget_.level();
+        q.report.effective_cache_budget = effective_cache_budget();
+        qs.metrics->record_batch(q.report);
       }
       cv.notify_all();
     }
@@ -846,7 +828,6 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   const trace::Span batch_span(metrics_.span_batch());
   ServerBatchReport out;
   BatchReport& shared = out.shared;
-  const RecoveryOptions& rec = options_.recovery;
   const BreakerOptions& breaker = options_.breaker;
   const std::uint64_t faults_before =
       faults_ != nullptr ? faults_->fired_count() : 0;
@@ -863,26 +844,13 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     std::rethrow_exception(front->error);
   }
   EdgeBatch owned;
-  const EdgeBatch* use = &batch;
+  const EdgeBatch* use = &owned;
   if (front != nullptr) {
     owned = std::move(front->batch);
-    use = &owned;
     shared.quarantine = std::move(front->quarantine);
   } else {
-    if (faults_ != nullptr) {
-      owned = batch;
-      inject_batch_corruption(owned, faults_);
-      use = &owned;
-    }
-    if (rec.sanitize_batches) {
-      QuarantineReport quarantine;
-      EdgeBatch clean = sanitize_batch(graph_, *use, quarantine);
-      if (!quarantine.empty()) {
-        owned = std::move(clean);
-        use = &owned;
-      }
-      shared.quarantine = std::move(quarantine);
-    }
+    use = &phase_ingest(batch, faults_, options_.recovery.sanitize_batches,
+                        graph_sanitizer(graph_), owned, shared.quarantine);
   }
 
   // Recovery fast path: a replayed batch at or below the aggregate anchor
@@ -970,67 +938,20 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     if (options_.check_invariants) graph_.validate();
   };
 
-  // Shared phases 1-3 under the shared recovery ladder. The terminal
-  // escalation is not a CPU re-run (matching has not happened yet) but
-  // dropping the cache: the batch is served zero-copy, which cannot change
-  // any query's counts.
-  bool drop_cache = false;
-  int attempts_left = std::max(1, rec.max_attempts);
-  double backoff_ms = rec.backoff_initial_ms;
-  auto retry_or_escalate = [&](const std::exception_ptr& error) {
-    ++shared.retries;
-    --attempts_left;
-    if (attempts_left <= 0) {
-      if (!drop_cache && rec.cpu_fallback) {
-        drop_cache = true;
-        out.cache_dropped = true;
-        attempts_left = std::max(1, rec.max_cpu_attempts);
-      } else {
-        std::rethrow_exception(error);
-      }
-    }
-    if (backoff_ms > 0.0) {
-      // Interruptible parking, not std::this_thread::sleep_for: the shared
-      // ladder runs on the engine thread, and a blocking sleep here stalled
-      // every queued batch behind one flaky shared phase (the same
-      // head-of-line bug the fan-out's ready-at queue already fixed).
-      parker_.park_for_ms(backoff_ms);
-      shared.backoff_ms += backoff_ms;
-      backoff_ms = std::min(backoff_ms * rec.backoff_multiplier,
-                            rec.backoff_max_ms);
-    }
-  };
-
-  for (;;) {
-    try {
-      run_shared_attempt(*use, drop_cache, roles, shared, staged_est,
-                         /*staged_pack=*/ctx != nullptr);
-      break;
-    } catch (const gpusim::DeviceOomError&) {
-      rollback();
-      if (options_.kind == EngineKind::kVsgm) {
-        // Semantic OOM: every registered query needs the k-hop data
-        // resident; shrinking cannot help.
-        throw;
-      }
-      if (!drop_cache &&
-          effective_cache_budget() > rec.min_cache_budget_bytes) {
-        ++degradation_level_;
-        metrics_.note_degradation();
-        clean_device_batches_ = 0;
-        ++shared.retries;
-      } else {
-        retry_or_escalate(std::current_exception());
-      }
-    } catch (const Error& e) {
-      rollback();
-      if (!e.transient()) throw;
-      retry_or_escalate(std::current_exception());
-    } catch (...) {
-      rollback();
-      throw;
-    }
-  }
+  // Shared phases 1-3 under the shared recovery ladder. The escalation is
+  // not a CPU re-run (matching has not happened yet) but dropping the
+  // cache: the batch is served zero-copy, which cannot change any query's
+  // counts.
+  const Transaction txn{
+      [&](bool drop_cache) {
+        run_shared_attempt(*use, drop_cache, roles, shared, staged_est,
+                           /*staged_pack=*/ctx != nullptr);
+      },
+      rollback,
+      [&] { return budget_.shrink(options_.cache_budget_bytes, metrics_); },
+      options_.kind == EngineKind::kVsgm};
+  out.cache_dropped = run_transaction(options_.recovery, /*escalated=*/false,
+                                      txn, parker_, shared);
 
   // Phase 4: fan the match out across the participating queries. Each
   // query runs on a pool thread with its own executor, counters, and
@@ -1064,21 +985,13 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     *nf = PipelineCtx::Front{};
     staging = [this, nf, next = ctx->next_batch, roles] {
       try {
-        nf->batch = *next;
-        if (faults_ != nullptr) {
-          inject_batch_corruption(nf->batch, faults_);
-        }
-        if (options_.recovery.sanitize_batches) {
-          QuarantineReport quarantine;
-          EdgeBatch clean = sanitize_batch(graph_, nf->batch, quarantine);
-          if (!quarantine.empty()) nf->batch = std::move(clean);
-          nf->quarantine = std::move(quarantine);
-        }
+        EdgeBatch owned;
+        const EdgeBatch& use = phase_ingest(
+            *next, faults_, options_.recovery.sanitize_batches,
+            graph_sanitizer(graph_), owned, nf->quarantine);
+        nf->batch = &use == &owned ? std::move(owned) : EdgeBatch(use);
         nf->roles = roles;
-        const bool uses_cache = options_.kind == EngineKind::kGcsm ||
-                                options_.kind == EngineKind::kNaiveDegree ||
-                                options_.kind == EngineKind::kVsgm;
-        if (uses_cache) {
+        if (uses_device_cache(options_.kind)) {
           // Pre-apply estimation: sees the graph one update earlier than
           // the serial schedule would (count-neutral; the rng draw order
           // per query is unchanged, one estimate per batch).
@@ -1216,18 +1129,10 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
               shared);
   shared.traffic = device_.counters().snapshot();
 
-  // The shared budget heals on clean streaks, exactly like the Pipeline.
-  if (!out.cache_dropped && degradation_level_ > 0) {
-    if (shared.retries != 0) {
-      clean_device_batches_ = 0;
-    } else if (++clean_device_batches_ >=
-               std::max(1, rec.heal_after_clean_batches)) {
-      --degradation_level_;
-      clean_device_batches_ = 0;
-    }
-  }
+  // The shared budget heals on clean streaks, exactly like the Pipeline's.
+  if (!out.cache_dropped) budget_.settle(shared.retries == 0);
 
-  shared.degradation_level = degradation_level_;
+  shared.degradation_level = budget_.level();
   shared.effective_cache_budget = effective_cache_budget();
   if (faults_ != nullptr) {
     shared.faults_observed = faults_->fired_count() - faults_before;

@@ -18,8 +18,8 @@
 //
 // Cache arbitration: per-query estimates are weight-normalized and summed
 // into one frequency vector; select_by_frequency orders the combined vector
-// and the one cache build packs greedily under the shared budget, so the
-// existing OOM degradation ladder (halve budget, heal on clean streaks)
+// and the one cache build packs greedily under the shared budget, so one
+// budget ladder (core/recovery.hpp: halve on OOM, heal on clean streaks)
 // arbitrates budget across ALL queries at once. Because a cache miss falls
 // back to zero-copy, cache content never changes match counts — per-query
 // counts are bit-identical to N independent single-query Pipelines
@@ -40,10 +40,13 @@
 // debt exceeds `max_debt_batches` (or durability is off) re-join falls back
 // to a full static recount re-baseline instead.
 //
-// Recovery composes with the existing ladder: shared-phase failures roll
-// the graph back and retry (device OOM shrinks the shared budget; exhausted
-// retries drop the cache and serve zero-copy); per-query match failures
-// retry and CPU-fall-back for that query alone. Durability logs each batch
+// Recovery runs the one recovery ladder (core/recovery.hpp) twice per
+// batch: the shared phases run as a transaction that rolls the graph back
+// and retries (device OOM shrinks the shared budget; the escalation step
+// drops the cache and serves the batch zero-copy), and each query's match
+// takes its attempts, CPU escalation and backoff from its own RetryLadder,
+// waiting out the backoff as a ready-at requeue rather than a parked
+// thread, for that query alone. Durability logs each batch
 // ONCE; health transitions ride the WAL as kServerState records sequenced
 // against the batch stream, and the registry image (per-query health +
 // counters + an aggregate anchor) is rewritten after every commit so
@@ -63,6 +66,7 @@
 #include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
+#include "core/recovery.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/simt_executor.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -220,7 +224,7 @@ class MultiQueryEngine {
   gpusim::Device& device() { return device_; }
   const MultiQueryOptions& options() const { return options_; }
   std::uint64_t effective_cache_budget() const;
-  std::uint32_t degradation_level() const { return degradation_level_; }
+  std::uint32_t degradation_level() const { return budget_.level(); }
   const durable::DurableCounters& cumulative() const { return cumulative_; }
   const RecoveredState& recovery_info() const { return recovery_info_; }
   const std::string& registry_path() const { return registry_path_; }
@@ -321,8 +325,8 @@ class MultiQueryEngine {
   // breaker.match_deadline_ms post-hoc.
   void match_attempt(QueryState& qs, const EdgeBatch& batch, bool use_cpu,
                      const MatchSink* sink, BatchReport& qr);
-  // Phase-4 fan-out: runs every kMatch/kProbe query through its retry
-  // ladder on the match pool. Backoff never holds a pool slot — a retrying
+  // Phase-4 fan-out: runs every kMatch/kProbe query through its own
+  // RetryLadder on the match pool. Backoff never holds a pool slot — a retrying
   // query parks in the shared task queue with a ready-at deadline while
   // other queries use the worker (the head-of-line fix).
   // `staging` (pipelined schedule) is the next batch's CPU front half: the
@@ -380,8 +384,7 @@ class MultiQueryEngine {
   // A registry change happened while catch-up debt deferred its snapshot;
   // the snapshot fires at the first debt-free commit.
   bool force_snapshot_pending_ = false;
-  std::uint32_t degradation_level_ = 0;
-  int clean_device_batches_ = 0;
+  BudgetLadder budget_;  // OOM degradation of the shared cache budget
   // Overload degradation: multiplies every per-query walk count in the
   // shared estimate (1.0 = no degradation; see set_walk_scale).
   double walk_scale_ = 1.0;

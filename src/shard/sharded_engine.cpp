@@ -1,7 +1,6 @@
 #include "shard/sharded_engine.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <string>
 
 #include "core/gpu_engine.hpp"
@@ -19,11 +18,6 @@ std::string shard_prefix(const std::string& base, std::size_t s) {
   return base + "shard" + std::to_string(s) + ".";
 }
 
-bool uses_cache(EngineKind kind) {
-  return kind == EngineKind::kGcsm || kind == EngineKind::kNaiveDegree ||
-         kind == EngineKind::kVsgm;
-}
-
 }  // namespace
 
 ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
@@ -34,8 +28,7 @@ ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
       durability_(options_.durability, options_.fault_injector),
       metrics_(options_.metric_prefix),
       pool_(options_.workers == 0 ? options_.num_shards : options_.workers),
-      degradation_level_(options_.num_shards, 0),
-      clean_device_batches_(options_.num_shards, 0) {
+      budgets_(options_.num_shards, BudgetLadder(options_.recovery)) {
   sg_.set_fault_injector(faults_);
   shard_metrics_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
@@ -69,12 +62,14 @@ QueryId ShardedMatchEngine::register_query(QueryGraph query, MatchSink sink) {
   return states_.back()->id;
 }
 
+std::uint64_t ShardedMatchEngine::budget_slice() const {
+  return std::max<std::uint64_t>(1,
+                                 options_.cache_budget_bytes / sg_.num_shards());
+}
+
 std::uint64_t ShardedMatchEngine::effective_cache_budget(
     std::size_t s) const {
-  const std::uint64_t per_shard = std::max<std::uint64_t>(
-      1, options_.cache_budget_bytes / sg_.num_shards());
-  const std::uint64_t shrunk = per_shard >> degradation_level_[s];
-  return std::max(shrunk, options_.recovery.min_cache_budget_bytes);
+  return budgets_[s].effective(budget_slice());
 }
 
 void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
@@ -116,7 +111,7 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
   // only ever sends a shard fetches of vertices it owns, so caching
   // replicated neighbors would waste the budget slice.
   std::vector<std::vector<VertexId>> orders(shards);
-  if (uses_cache(kind)) {
+  if (uses_device_cache(kind)) {
     int max_diameter = 0;
     for (const auto& qs : states_) {
       max_diameter = std::max(
@@ -173,14 +168,12 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
 
   // Step 3: per-shard DCSR pack under this shard's degraded budget slice.
   // VSGM's semantic-residency bound is the shard's configured slice.
-  const std::uint64_t configured_slice = std::max<std::uint64_t>(
-      1, options_.cache_budget_bytes / shards);
   {
     const Timer t;
     for (std::size_t s = 0; s < shards; ++s) {
       oom_shard = s;
       phase_pack(kind, sg_.cache(s), sg_.graph(s), orders[s],
-                 effective_cache_budget(s), configured_slice, sg_.device(s),
+                 effective_cache_budget(s), budget_slice(), sg_.device(s),
                  sg_.device(s).counters(), options_.check_invariants, sim,
                  shard_metrics_[s], out.shards[s]);
     }
@@ -261,40 +254,32 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
   }
   const std::size_t shards = sg_.num_shards();
   ShardedBatchReport out;
-  const RecoveryOptions& rec = options_.recovery;
   const std::uint64_t faults_before =
       faults_ != nullptr ? faults_->fired_count() : 0;
 
-  // Ingestion: corrupt (fault site), then screen — decision-for-decision
-  // the single-device path, with liveness answered by the owning shards.
+  // Ingestion, decision-for-decision the single-device path, with liveness
+  // answered by the owning shards.
   EdgeBatch owned;
-  const EdgeBatch* use = &batch;
-  if (faults_ != nullptr) {
-    owned = batch;
-    inject_batch_corruption(owned, faults_);
-    use = &owned;
-  }
-  if (rec.sanitize_batches) {
-    QuarantineReport quarantine;
-    EdgeBatch clean = sg_.sanitize(*use, quarantine);
-    if (!quarantine.empty()) {
-      owned = std::move(clean);
-      use = &owned;
-    }
-    out.shared.quarantine = std::move(quarantine);
-  }
+  const EdgeBatch& use = phase_ingest(
+      batch, faults_, options_.recovery.sanitize_batches,
+      [this](const EdgeBatch& b, QuarantineReport& q) {
+        return sg_.sanitize(b, q);
+      },
+      owned, out.shared.quarantine);
 
   // One WAL record for the GLOBAL sanitized batch; the per-shard split is
   // deterministic, so recovery can re-derive it.
   std::uint64_t wal_seq = 0;
   if (options_.durability.enabled()) {
-    wal_seq = durability_.begin_batch(*use);
+    wal_seq = durability_.begin_batch(use);
     out.shared.wal_seq = wal_seq;
   }
 
-  const std::vector<EdgeBatch> subs = sg_.split_batch(*use);
+  const std::vector<EdgeBatch> subs = sg_.split_batch(use);
 
   // The transaction: every shard's touchable state, restorable together.
+  // One attempt ladder serves all shards; an OOM shrinks only the budget
+  // of the shard whose pack raised it.
   std::vector<DynamicGraph::Snapshot> snaps;
   snaps.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -307,81 +292,28 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
     }
     if (options_.check_invariants) sg_.validate();
   };
-
-  bool use_cpu = options_.kind == EngineKind::kCpu;
-  int attempts_left = std::max(1, rec.max_attempts);
-  double backoff_ms = rec.backoff_initial_ms;
-
-  auto retry_or_escalate = [&](const std::exception_ptr& error) {
-    ++out.shared.retries;
-    --attempts_left;
-    if (attempts_left <= 0) {
-      if (!use_cpu && rec.cpu_fallback) {
-        use_cpu = true;
-        attempts_left = std::max(1, rec.max_cpu_attempts);
-        out.shared.cpu_fallback = true;
-      } else {
-        std::rethrow_exception(error);
-      }
-    }
-    if (backoff_ms > 0.0) {
-      parker_.park_for_ms(backoff_ms);
-      out.shared.backoff_ms += backoff_ms;
-      backoff_ms =
-          std::min(backoff_ms * rec.backoff_multiplier, rec.backoff_max_ms);
-    }
-  };
-
   std::size_t oom_shard = 0;
-  for (;;) {
-    try {
-      run_attempt(*use, subs, use_cpu, out, oom_shard);
-      break;
-    } catch (const gpusim::DeviceOomError&) {
-      rollback();
-      if (options_.kind == EngineKind::kVsgm) {
-        // Semantic OOM: the k-hop slice must be device-resident.
-        throw;
-      }
-      if (!use_cpu &&
-          effective_cache_budget(oom_shard) > rec.min_cache_budget_bytes) {
-        // Only the hot shard steps down its ladder.
-        ++degradation_level_[oom_shard];
-        shard_metrics_[oom_shard].note_degradation();
+  const Transaction txn{
+      [&](bool use_cpu) { run_attempt(use, subs, use_cpu, out, oom_shard); },
+      rollback,
+      [&] {
+        if (!budgets_[oom_shard].shrink(budget_slice(),
+                                        shard_metrics_[oom_shard])) {
+          return false;
+        }
         metrics_.note_degradation();
-        clean_device_batches_[oom_shard] = 0;
-        ++out.shared.retries;
-      } else {
-        retry_or_escalate(std::current_exception());
-      }
-    } catch (const Error& e) {
-      rollback();
-      if (!e.transient()) throw;
-      retry_or_escalate(std::current_exception());
-    } catch (...) {
-      rollback();
-      throw;
-    }
-  }
-
-  // Per-shard healing: each ladder earns its budget back independently.
-  if (!use_cpu) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (degradation_level_[s] == 0) continue;
-      if (out.shared.retries != 0) {
-        clean_device_batches_[s] = 0;
-      } else if (++clean_device_batches_[s] >=
-                 std::max(1, rec.heal_after_clean_batches)) {
-        --degradation_level_[s];
-        clean_device_batches_[s] = 0;
-      }
-    }
-  }
-
-  out.shared.degradation_level =
-      *std::max_element(degradation_level_.begin(), degradation_level_.end());
-  out.shared.effective_cache_budget = 0;
+        return true;
+      },
+      options_.kind == EngineKind::kVsgm};
+  const bool on_cpu =
+      run_transaction(options_.recovery, options_.kind == EngineKind::kCpu,
+                      txn, parker_, out.shared);
+  out.shared.cpu_fallback = on_cpu && options_.kind != EngineKind::kCpu;
   for (std::size_t s = 0; s < shards; ++s) {
+    // Each shard's budget heals on its own streak.
+    if (!on_cpu) budgets_[s].settle(out.shared.retries == 0);
+    out.shared.degradation_level =
+        std::max(out.shared.degradation_level, budgets_[s].level());
     out.shared.effective_cache_budget += effective_cache_budget(s);
   }
   if (faults_ != nullptr) {
@@ -406,7 +338,7 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
   }
   cumulative_ = next;
 
-  sg_.note_applied(*use);
+  sg_.note_applied(use);
   out.cut_edges = sg_.cut_edges();
   out.imbalance = sg_.partition_stats().imbalance;
 

@@ -13,8 +13,8 @@
 //                 filtered to OWNED vertices (a shard's cache only ever
 //                 serves fetches the router sends to it)
 //   3. pack     — per-shard DCSR build under budget/N, each shard owning
-//                 its own OOM degradation ladder (halve on OOM, heal on
-//                 clean streaks) — one hot shard degrades alone
+//                 its own budget ladder (halve on OOM, heal on clean
+//                 streaks) — one hot shard degrades alone
 //   4. match    — ShardedMatcher routes each delta-join work item to the
 //                 shard owning its ΔE anchor and stitches cross-shard
 //                 partials at branch levels in Pregel-style supersteps
@@ -26,10 +26,11 @@
 // byte-identical to the single-device view, and anchor routing enumerates
 // each work item exactly once (tests/shard_test.cpp).
 //
-// Recovery mirrors core/pipeline.cpp's transactional ladder: corruption
-// screening, per-shard snapshots before the attempt, rollback of ALL shards
-// on failure, retries with backoff, CPU escalation, and per-shard OOM
-// degradation. Durability logs the sanitized GLOBAL batch once and commits
+// Recovery runs the one recovery ladder (core/recovery.hpp) as a single
+// transaction over all shards: corruption screening, per-shard snapshots
+// before the attempt, rollback of ALL shards on failure, and one attempt
+// ladder (retries with backoff, CPU escalation) for the whole batch. Only
+// the budget ladder is per shard: an OOM shrinks the shard that raised it. Durability logs the sanitized GLOBAL batch once and commits
 // ONE marker per batch carrying the aggregated per-shard counters;
 // recover_on_start replay is not wired for the sharded engine (replay goes
 // through a single-device engine — counts are identical by construction).
@@ -44,6 +45,7 @@
 #include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
+#include "core/recovery.hpp"
 #include "graph/csr_graph.hpp"
 #include "shard/sharded_graph.hpp"
 #include "shard/sharded_matcher.hpp"
@@ -117,7 +119,7 @@ class ShardedMatchEngine {
   const ShardedEngineOptions& options() const { return options_; }
   std::uint64_t effective_cache_budget(std::size_t s) const;
   std::uint32_t degradation_level(std::size_t s) const {
-    return degradation_level_[s];
+    return budgets_[s].level();
   }
   const durable::DurableCounters& cumulative() const { return cumulative_; }
 
@@ -129,6 +131,9 @@ class ShardedMatchEngine {
     Rng rng;
     MatchSink sink;
   };
+
+  // Each shard's configured share of the total cache budget.
+  std::uint64_t budget_slice() const;
 
   // Phases 1-5 for one transactional attempt. Fills the per-shard reports,
   // the per-query stats, and the aggregate. `oom_shard` receives the shard
@@ -147,9 +152,8 @@ class ShardedMatchEngine {
   ThreadPool pool_;
   util::ParkingLot parker_;
   durable::DurableCounters cumulative_;
-  // Per-shard OOM degradation ladder.
-  std::vector<std::uint32_t> degradation_level_;
-  std::vector<int> clean_device_batches_;
+  // Per-shard OOM degradation of each shard's budget slice.
+  std::vector<BudgetLadder> budgets_;
 };
 
 }  // namespace gcsm::shard

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,8 +23,11 @@
 #include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 #include "query/patterns.hpp"
+#include "server/multi_query_engine.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/timer.hpp"
 
 namespace gcsm {
 namespace {
@@ -463,6 +467,385 @@ TEST(PipelineFaults, MalformedBatchIsQuarantinedAndReported) {
 
   const BatchReport expect = reference.process_batch(f.stream.batches[0]);
   EXPECT_EQ(got.stats.signed_embeddings, expect.stats.signed_embeddings);
+}
+
+// ---------------------------------------------------------------------------
+// The recovery ladder on every engine that runs one: Pipeline, a one-query
+// MultiQueryEngine, and ShardedMatchEngine at 1 and 2 shards. Each case
+// drives one fault schedule through all four and pins what each reports.
+// The multi-query engine runs two ladders per batch: the shared phases
+// (update, estimate, pack) escalate by dropping the cache, the per-query
+// match fan-out by re-running that query on the CPU.
+
+enum class LadderEngine { kPipeline, kMultiQuery, kSharded1, kSharded2 };
+
+std::string ladder_engine_name(LadderEngine engine) {
+  switch (engine) {
+    case LadderEngine::kPipeline:
+      return "Pipeline";
+    case LadderEngine::kMultiQuery:
+      return "MultiQuery";
+    case LadderEngine::kSharded1:
+      return "Sharded1";
+    case LadderEngine::kSharded2:
+      return "Sharded2";
+  }
+  return "?";
+}
+
+// One batch's recovery fields, read off whichever reports the engine fills.
+struct LadderOutcome {
+  std::uint32_t retries = 0;        // the batch (shared-phase) ladder
+  std::uint32_t query_retries = 0;  // the multi-query fan-out ladder
+  std::uint32_t degradation_level = 0;
+  std::uint64_t effective_cache_budget = 0;
+  std::vector<std::uint32_t> shard_levels;  // sharded engine only
+  bool cpu_fallback = false;   // the batch (multi-query: the query) ran on CPU
+  bool cache_dropped = false;  // multi-query shared phase served zero-copy
+  double backoff_ms = 0.0;        // the batch (shared-phase) ladder
+  double query_backoff_ms = 0.0;  // the multi-query fan-out ladder
+  std::int64_t signed_embeddings = 0;
+};
+
+class LadderHarness {
+ public:
+  LadderHarness(LadderEngine engine, const CsrGraph& initial,
+                const QueryGraph& q, const PipelineOptions& opt) {
+    if (engine == LadderEngine::kPipeline) {
+      pipe_ = std::make_unique<Pipeline>(initial, q, opt);
+    } else if (engine == LadderEngine::kMultiQuery) {
+      server::MultiQueryOptions mo;
+      mo.kind = opt.kind;
+      mo.sim = opt.sim;
+      mo.cache_budget_bytes = opt.cache_budget_bytes;
+      mo.estimator = opt.estimator;
+      mo.workers = opt.workers;
+      mo.recovery = opt.recovery;
+      mo.fault_injector = opt.fault_injector;
+      multi_ = std::make_unique<server::MultiQueryEngine>(initial, mo);
+      id_ = multi_->register_query(q);
+    } else {
+      shard::ShardedEngineOptions so;
+      so.num_shards = engine == LadderEngine::kSharded1 ? 1 : 2;
+      so.kind = opt.kind;
+      so.sim = opt.sim;
+      so.cache_budget_bytes = opt.cache_budget_bytes;
+      so.estimator = opt.estimator;
+      so.recovery = opt.recovery;
+      so.fault_injector = opt.fault_injector;
+      sharded_ = std::make_unique<shard::ShardedMatchEngine>(initial, so);
+      id_ = sharded_->register_query(q);
+    }
+  }
+
+  LadderOutcome process(const EdgeBatch& batch) {
+    LadderOutcome o;
+    if (pipe_ != nullptr) {
+      read(pipe_->process_batch(batch), o);
+    } else if (multi_ != nullptr) {
+      const server::ServerBatchReport r = multi_->process_batch(batch);
+      read(r.shared, o);
+      const BatchReport& q = r.queries.at(0).report;
+      o.query_retries = q.retries;
+      o.cpu_fallback = q.cpu_fallback;
+      o.query_backoff_ms = q.backoff_ms;
+      o.cache_dropped = r.cache_dropped;
+    } else {
+      read(sharded_->process_batch(batch).shared, o);
+      for (std::size_t s = 0; s < sharded_->options().num_shards; ++s) {
+        o.shard_levels.push_back(sharded_->degradation_level(s));
+      }
+    }
+    return o;
+  }
+
+  std::uint64_t count() {
+    if (pipe_ != nullptr) return pipe_->count_current_embeddings();
+    if (multi_ != nullptr) return multi_->count_current_embeddings(id_);
+    return sharded_->count_current_embeddings(id_);
+  }
+
+  void validate() const {
+    if (pipe_ != nullptr) pipe_->graph().validate();
+    if (multi_ != nullptr) multi_->graph().validate();
+    if (sharded_ != nullptr) sharded_->sharded_graph().validate();
+  }
+
+ private:
+  static void read(const BatchReport& r, LadderOutcome& o) {
+    o.retries = r.retries;
+    o.degradation_level = r.degradation_level;
+    o.effective_cache_budget = r.effective_cache_budget;
+    o.cpu_fallback = r.cpu_fallback;
+    o.backoff_ms = r.backoff_ms;
+    o.signed_embeddings = r.stats.signed_embeddings;
+  }
+
+  std::unique_ptr<Pipeline> pipe_;
+  std::unique_ptr<server::MultiQueryEngine> multi_;
+  std::unique_ptr<shard::ShardedMatchEngine> sharded_;
+  std::uint32_t id_ = 0;
+};
+
+// Sum of the first `failures` capped exponential backoff steps.
+double backoff_sum(const RecoveryOptions& rec, int failures) {
+  double step = rec.backoff_initial_ms;
+  double total = 0.0;
+  for (int i = 0; i < failures; ++i) {
+    total += step;
+    step = std::min(step * rec.backoff_multiplier, rec.backoff_max_ms);
+  }
+  return total;
+}
+
+class LadderFaults : public ::testing::TestWithParam<LadderEngine> {
+ protected:
+  LadderEngine engine() const { return GetParam(); }
+  bool multi() const { return engine() == LadderEngine::kMultiQuery; }
+  bool sharded() const {
+    return engine() == LadderEngine::kSharded1 ||
+           engine() == LadderEngine::kSharded2;
+  }
+  std::size_t shards() const {
+    return engine() == LadderEngine::kSharded2 ? 2 : 1;
+  }
+};
+
+TEST_P(LadderFaults, TransientKernelFaultRetries) {
+  StreamFixture f(47);
+  const QueryGraph q = make_triangle();
+  Pipeline reference(f.stream.initial, q, fault_options(EngineKind::kGcsm));
+
+  FaultInjector inj(11);
+  inj.arm(fault_site::kKernelLaunch, {0.0, 1});
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  LadderHarness h(engine(), f.stream.initial, q, opt);
+
+  const LadderOutcome got = h.process(f.stream.batches[0]);
+  EXPECT_EQ(got.signed_embeddings,
+            reference.process_batch(f.stream.batches[0])
+                .stats.signed_embeddings);
+  // The multi-query engine launches kernels only in the fan-out, so the
+  // fault costs the query's ladder one retry and the shared ladder none.
+  EXPECT_EQ(got.retries, multi() ? 0u : 1u);
+  EXPECT_EQ(got.query_retries, multi() ? 1u : 0u);
+  EXPECT_FALSE(got.cpu_fallback);  // the second device attempt succeeds
+  EXPECT_FALSE(got.cache_dropped);
+  EXPECT_EQ(got.degradation_level, 0u);
+  EXPECT_EQ(got.effective_cache_budget, opt.cache_budget_bytes);
+  h.validate();
+}
+
+TEST_P(LadderFaults, OomShrinksBudgetThenHeals) {
+  StreamFixture f(49, 400, 32, 128);
+  const QueryGraph q = make_triangle();
+  Pipeline reference(f.stream.initial, q, fault_options(EngineKind::kGcsm));
+
+  FaultInjector inj(13);
+  inj.arm(fault_site::kDeviceAlloc, {0.0, 1});  // first device alloc OOMs
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  opt.recovery.heal_after_clean_batches = 2;
+  LadderHarness h(engine(), f.stream.initial, q, opt);
+  const std::uint64_t budget = opt.cache_budget_bytes;
+  const std::uint64_t slice = budget / shards();
+
+  const LadderOutcome r0 = h.process(f.stream.batches[0]);
+  EXPECT_EQ(r0.retries, 1u);  // the shrink; no attempt consumed
+  EXPECT_EQ(r0.query_retries, 0u);
+  EXPECT_EQ(r0.degradation_level, 1u);
+  // A sharded engine reports the sum of its slices; only shard 0 (the
+  // first to pack) shrank.
+  EXPECT_EQ(r0.effective_cache_budget, budget - slice / 2);
+  if (sharded()) {
+    EXPECT_EQ(r0.shard_levels.front(), 1u);
+    if (shards() == 2) {
+      EXPECT_EQ(r0.shard_levels.back(), 0u);
+    }
+  }
+  EXPECT_FALSE(r0.cpu_fallback);
+  EXPECT_FALSE(r0.cache_dropped);
+  EXPECT_EQ(r0.backoff_ms, 0.0);
+
+  const LadderOutcome r1 = h.process(f.stream.batches[1]);
+  EXPECT_EQ(r1.retries, 0u);
+  EXPECT_EQ(r1.degradation_level, 1u);  // one clean batch: still degraded
+  const LadderOutcome r2 = h.process(f.stream.batches[2]);
+  EXPECT_EQ(r2.degradation_level, 0u);  // two clean batches: healed
+  EXPECT_EQ(r2.effective_cache_budget, budget);
+
+  std::int64_t expected = static_cast<std::int64_t>(
+      reference_count_embeddings(f.stream.initial, q));
+  const LadderOutcome* got[] = {&r0, &r1, &r2};
+  for (int k = 0; k < 3; ++k) {
+    const std::int64_t want =
+        reference.process_batch(f.stream.batches[k]).stats.signed_embeddings;
+    EXPECT_EQ(got[k]->signed_embeddings, want) << "batch " << k;
+    expected += want;
+  }
+  EXPECT_EQ(static_cast<std::int64_t>(h.count()), expected);
+  h.validate();
+}
+
+TEST_P(LadderFaults, OomAtBudgetFloorEscalates) {
+  StreamFixture f(50);
+  const QueryGraph q = make_triangle();
+  Pipeline reference(f.stream.initial, q, fault_options(EngineKind::kGcsm));
+
+  FaultInjector inj(14);
+  inj.arm(fault_site::kDeviceAlloc, {1.0, 0});  // every device alloc OOMs
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  opt.cache_budget_bytes = 64 << 10;
+  opt.recovery.min_cache_budget_bytes = 64 << 10;  // already at the floor
+  opt.recovery.max_attempts = 2;
+  LadderHarness h(engine(), f.stream.initial, q, opt);
+
+  const LadderOutcome got = h.process(f.stream.batches[0]);
+  EXPECT_EQ(got.signed_embeddings,
+            reference.process_batch(f.stream.batches[0])
+                .stats.signed_embeddings);
+  // Both device attempts OOM at the floor, then the ladder escalates: a
+  // CPU re-run, or (multi-query shared phase) a zero-copy batch with no
+  // cache build, whose match then needs no device memory.
+  EXPECT_EQ(got.retries, 2u);
+  EXPECT_EQ(got.query_retries, 0u);
+  EXPECT_EQ(got.cpu_fallback, !multi());
+  EXPECT_EQ(got.cache_dropped, multi());
+  EXPECT_EQ(got.degradation_level, 0u);
+  // Every shard sits at the floor, even where its slice is below it.
+  EXPECT_EQ(got.effective_cache_budget, shards() * (64u << 10));
+  h.validate();
+}
+
+TEST_P(LadderFaults, ExhaustedRetriesRethrowWithGraphRolledBack) {
+  StreamFixture f(51);
+  const QueryGraph q = make_triangle();
+
+  FaultInjector inj(15);
+  inj.arm(fault_site::kKernelLaunch, {1.0, 0});  // every launch refused
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  opt.recovery.max_attempts = 2;
+  opt.recovery.cpu_fallback = false;
+  LadderHarness h(engine(), f.stream.initial, q, opt);
+
+  const std::uint64_t before = h.count();
+  try {
+    h.process(f.stream.batches[0]);
+    FAIL() << "an exhausted ladder must rethrow";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kKernelLaunch);
+  }
+  h.validate();
+  EXPECT_EQ(h.count(), before);  // the batch rolled back
+
+  // The failure was not sticky: quiet the injector and the batch applies.
+  inj.set_enabled(false);
+  const LadderOutcome after = h.process(f.stream.batches[0]);
+  EXPECT_EQ(after.retries, 0u);
+  EXPECT_EQ(after.query_retries, 0u);
+  EXPECT_FALSE(after.cpu_fallback);
+  h.validate();
+}
+
+// Backoff on the parked path: the batch (shared-phase) ladder parks the
+// engine thread between attempts. Every cache build fails, so the three
+// device attempts cost three steps of the capped exponential schedule
+// before the escalated attempt, which builds no cache, succeeds.
+TEST_P(LadderFaults, ParkedBackoffIsTheCappedExponentialSum) {
+  StreamFixture f(52);
+  const QueryGraph q = make_triangle();
+  Pipeline reference(f.stream.initial, q, fault_options(EngineKind::kGcsm));
+
+  FaultInjector inj(16);
+  inj.arm(fault_site::kCacheBuild, {1.0, 0});
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  opt.recovery.max_attempts = 3;
+  opt.recovery.backoff_initial_ms = 0.125;
+  opt.recovery.backoff_multiplier = 2.0;
+  opt.recovery.backoff_max_ms = 0.375;  // the third step is capped
+  LadderHarness h(engine(), f.stream.initial, q, opt);
+
+  const Timer t;
+  const LadderOutcome got = h.process(f.stream.batches[0]);
+  const double wall_ms = t.millis();
+  EXPECT_EQ(got.signed_embeddings,
+            reference.process_batch(f.stream.batches[0])
+                .stats.signed_embeddings);
+  EXPECT_EQ(got.retries, 3u);
+  EXPECT_EQ(got.cpu_fallback, !multi());
+  EXPECT_EQ(got.cache_dropped, multi());
+  EXPECT_DOUBLE_EQ(got.backoff_ms, 0.125 + 0.25 + 0.375);
+  EXPECT_DOUBLE_EQ(got.backoff_ms, backoff_sum(opt.recovery, 3));
+  EXPECT_EQ(got.query_backoff_ms, 0.0);
+  EXPECT_GE(wall_ms, got.backoff_ms);  // the engine thread really parked
+  h.validate();
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, LadderFaults,
+                         ::testing::Values(LadderEngine::kPipeline,
+                                           LadderEngine::kMultiQuery,
+                                           LadderEngine::kSharded1,
+                                           LadderEngine::kSharded2),
+                         [](const auto& info) {
+                           return ladder_engine_name(info.param);
+                         });
+
+// Only the shard whose pack raised the OOM steps down its budget ladder.
+// Shard 0 packs first, so the second device allocation is shard 1's.
+TEST(LadderSharded, OomShrinksOnlyTheShardThatRaisedIt) {
+  StreamFixture f(49, 400, 32, 128);
+  const QueryGraph q = make_triangle();
+
+  FaultInjector inj(13);
+  inj.arm(fault_site::kDeviceAlloc, {0.0, 2});
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  LadderHarness h(LadderEngine::kSharded2, f.stream.initial, q, opt);
+
+  const LadderOutcome got = h.process(f.stream.batches[0]);
+  EXPECT_EQ(got.retries, 1u);
+  EXPECT_EQ(got.shard_levels, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(got.effective_cache_budget, opt.cache_budget_bytes / 4 * 3);
+  h.validate();
+}
+
+// Backoff on the fan-out path: a failing query is requeued with a ready-at
+// deadline instead of parking a pool worker. Every device launch fails, so
+// the query's three device attempts cost three backoff steps before its
+// CPU re-run succeeds; the shared phase never fails.
+TEST(LadderFanout, RequeueBackoffIsTheCappedExponentialSum) {
+  StreamFixture f(53);
+  const QueryGraph q = make_triangle();
+  Pipeline reference(f.stream.initial, q, fault_options(EngineKind::kGcsm));
+
+  FaultInjector inj(17);
+  inj.arm(fault_site::kKernelLaunch, {1.0, 0});
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  opt.recovery.max_attempts = 3;
+  opt.recovery.backoff_initial_ms = 0.125;
+  opt.recovery.backoff_multiplier = 2.0;
+  opt.recovery.backoff_max_ms = 0.375;
+  LadderHarness h(LadderEngine::kMultiQuery, f.stream.initial, q, opt);
+
+  const Timer t;
+  const LadderOutcome got = h.process(f.stream.batches[0]);
+  const double wall_ms = t.millis();
+  EXPECT_EQ(got.signed_embeddings,
+            reference.process_batch(f.stream.batches[0])
+                .stats.signed_embeddings);
+  EXPECT_EQ(got.retries, 0u);
+  EXPECT_EQ(got.backoff_ms, 0.0);
+  EXPECT_EQ(got.query_retries, 3u);
+  EXPECT_TRUE(got.cpu_fallback);
+  EXPECT_DOUBLE_EQ(got.query_backoff_ms, 0.125 + 0.25 + 0.375);
+  EXPECT_DOUBLE_EQ(got.query_backoff_ms, backoff_sum(opt.recovery, 3));
+  EXPECT_GE(wall_ms, got.query_backoff_ms);  // the requeue waited it out
+  h.validate();
 }
 
 // ---------------------------------------------------------------------------

@@ -50,6 +50,17 @@ TEST(Lint, FlagsRawFaultSite) {
             std::string::npos);
 }
 
+TEST(Lint, FlagsRawLadderKnob) {
+  const auto diags = lint_fixture("raw_ladder");
+  // The RecoveryOptions declaration and core/recovery.cpp are exempt; the
+  // one read in src/bad.cpp is not.
+  ASSERT_EQ(diags.size(), 1u) << render(diags);
+  EXPECT_EQ(diags[0].rule, "raw-ladder");
+  EXPECT_EQ(diags[0].file, "src/bad.cpp");
+  EXPECT_EQ(diags[0].line, 9);
+  EXPECT_NE(diags[0].message.find("backoff_multiplier"), std::string::npos);
+}
+
 TEST(Lint, FlagsDocDriftBothDirections) {
   const auto diags = lint_fixture("doc_drift");
   // One registered-but-undocumented metric, one documented-but-unknown.

@@ -28,6 +28,18 @@ const std::set<std::string> kRelaxedAtomicFiles = {
     "src/gpusim/cost_model.hpp", "src/core/access_policy.cpp",
 };
 
+// Recovery knobs only the one recovery ladder (core/recovery.{hpp,cpp})
+// reads; the RecoveryOptions declaration itself is exempt too. A read
+// anywhere else is the start of another copy of the retry / backoff /
+// heal policy.
+const std::set<std::string> kLadderKnobs = {
+    "max_cpu_attempts", "backoff_multiplier", "backoff_max_ms",
+    "heal_after_clean_batches",
+};
+const std::set<std::string> kLadderFiles = {
+    "src/core/recovery.hpp", "src/core/recovery.cpp",
+};
+
 // Exception types `throw` may name: the gcsm::Error taxonomy (callers
 // branch on ErrorCode; drivers map it to the exit-code contract) and
 // CheckFailure (invariant violations from GCSM_CHECK/GCSM_ASSERT).
@@ -293,6 +305,31 @@ void check_relaxed_atomics(const FileContext& ctx) {
   }
 }
 
+void check_ladder_knobs(const FileContext& ctx) {
+  if (kLadderFiles.count(ctx.rel) != 0) return;
+  const std::vector<Token>& toks = ctx.toks;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent) continue;
+    if (toks[i].text == "RecoveryOptions" && i > 0 &&
+        toks[i - 1].text == "struct" && i + 1 < toks.size() &&
+        toks[i + 1].text == "{") {
+      // The declaration: skip its body.
+      for (int depth = 0; ++i < toks.size();) {
+        if (toks[i].text == "{") ++depth;
+        if (toks[i].text == "}" && --depth == 0) break;
+      }
+      continue;
+    }
+    if (kLadderKnobs.count(toks[i].text) != 0) {
+      emit(ctx, toks[i].line, "raw-ladder",
+           "read of RecoveryOptions::" + toks[i].text +
+               " outside core/recovery.{hpp,cpp}; drive retries, backoff "
+               "and budget healing through RetryLadder / BudgetLadder / "
+               "run_transaction");
+    }
+  }
+}
+
 void check_naked_locks(const FileContext& ctx) {
   const std::vector<Token>& toks = ctx.toks;
   for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -376,6 +413,7 @@ std::vector<Diagnostic> run_lint(const Options& options) {
     check_registered_literals(ctx, metric_names, fault_names);
     check_throws(ctx);
     check_relaxed_atomics(ctx);
+    check_ladder_knobs(ctx);
     check_naked_locks(ctx);
   }
 

@@ -22,6 +22,11 @@
 //   stray-relaxed-atomic std::memory_order_relaxed outside the audited
 //                        whitelist (util/metrics, util/trace,
 //                        gpusim/cost_model.hpp, core/access_policy.cpp).
+//   raw-ladder           a read of a recovery-ladder knob (max_cpu_attempts,
+//                        backoff_multiplier, backoff_max_ms,
+//                        heal_after_clean_batches) outside
+//                        core/recovery.{hpp,cpp} and the RecoveryOptions
+//                        declaration.
 //   naked-lock           a bare .lock()/.unlock() member call; mutexes must
 //                        be held through RAII (std::lock_guard,
 //                        std::scoped_lock, std::unique_lock).
