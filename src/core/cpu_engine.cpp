@@ -36,11 +36,11 @@ class LaunchFold {
   ~LaunchFold() {
     for (WorkerScratch& w : workers_) {
       if (policy_.on_device()) {
-        w.dfs.traffic.add_compute(w.dfs.ops);
+        w.dfs.traffic.compute_ops += w.dfs.ops;
       } else {
-        w.dfs.traffic.add_host(w.dfs.ops, 0);
+        w.dfs.traffic.host_ops += w.dfs.ops;
       }
-      counters_.add(w.dfs.traffic.snapshot());
+      counters_.add(w.dfs.traffic);
     }
   }
 

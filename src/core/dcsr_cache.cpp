@@ -11,6 +11,71 @@
 #include "util/trace.hpp"
 
 namespace gcsm {
+namespace {
+
+// The probes of the kernel's binary search over `rows` ascending ids for an
+// id whose lower bound is `pos`: the search compares rowidx[mid] < v, which
+// is exactly mid < pos.
+std::uint32_t probe_count(std::uint32_t rows, std::uint32_t pos) {
+  std::uint32_t probes = 0;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = rows;
+  while (lo < hi) {
+    ++probes;
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (mid < pos) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return probes;
+}
+
+// probe_count(rows, pos) for every pos in [lo, hi], given the search has
+// made `depth` probes to reach the range [lo, hi): one visit per node of
+// the search tree, so O(rows) in all.
+void fill_probe_counts(std::uint32_t lo, std::uint32_t hi, std::uint8_t depth,
+                       std::vector<std::uint8_t>& steps) {
+  if (lo >= hi) {
+    steps[lo] = depth;
+    return;
+  }
+  const std::uint32_t mid = lo + (hi - lo) / 2;
+  const auto next = static_cast<std::uint8_t>(depth + 1);
+  fill_probe_counts(lo, mid, next, steps);      // pos <= mid
+  fill_probe_counts(mid + 1, hi, next, steps);  // pos > mid
+}
+
+// The smallest shift with (id_bound >> shift) <= rows.
+std::uint32_t bucket_shift(VertexId id_bound, std::uint32_t rows) {
+  std::uint32_t shift = 0;
+  while ((static_cast<std::uint64_t>(id_bound) >> shift) > rows) ++shift;
+  return shift;
+}
+
+}  // namespace
+
+DcsrCache::Index DcsrCache::build_index(const VertexId* ids,
+                                        std::uint32_t rows,
+                                        VertexId id_bound) {
+  Index index;
+  index.id_bound = id_bound;
+  index.shift = bucket_shift(id_bound, rows);
+  const std::uint64_t buckets =
+      (static_cast<std::uint64_t>(id_bound) >> index.shift) + 2;
+  index.first.resize(buckets);
+  std::uint32_t pos = 0;
+  for (std::uint64_t b = 0; b < buckets; ++b) {
+    const std::uint64_t lo = b << index.shift;
+    while (pos < rows && static_cast<std::uint64_t>(ids[pos]) < lo) ++pos;
+    index.first[b] = pos;
+  }
+  index.steps.resize(static_cast<std::size_t>(rows) + 1);
+  fill_probe_counts(0, rows, 0, index.steps);
+  index.tombstones.resize(rows);
+  return index;
+}
 
 void DcsrCache::build(const DynamicGraph& graph,
                       const std::vector<VertexId>& vertices,
@@ -125,11 +190,14 @@ void DcsrCache::build_into(Slot& slot, const DynamicGraph& graph,
   auto* colidx = reinterpret_cast<VertexId*>(staging.data() + rowptr_bytes +
                                              rowidx_bytes);
 
+  Index index =
+      build_index(selected.data(), row_count, graph.num_vertices());
   std::int64_t cursor = 0;
   for (std::uint32_t i = 0; i < row_count; ++i) {
     const VertexId v = selected[i];
     rowidx[i] = v;
     const NeighborView view = graph.view(v, ViewMode::kNew);
+    index.tombstones[i] = view.tombstones ? 1 : 0;
     rowptr[i].begin = cursor;
     rowptr[i].new_begin =
         view.appended.size > 0 ? cursor + view.prefix.size : -1;
@@ -167,6 +235,7 @@ void DcsrCache::build_into(Slot& slot, const DynamicGraph& graph,
       reinterpret_cast<const VertexId*>(slot.blob.data() + rowptr_bytes);
   slot.colidx = reinterpret_cast<const VertexId*>(slot.blob.data() +
                                                   rowptr_bytes + rowidx_bytes);
+  slot.index = std::move(index);
 }
 
 void DcsrCache::clear() {
@@ -175,39 +244,9 @@ void DcsrCache::clear() {
   staged_valid_ = false;
 }
 
-std::optional<NeighborView> DcsrCache::lookup(
-    VertexId v, ViewMode mode, std::uint32_t& search_steps) const {
-  const Slot& s = active_;
-  search_steps = 0;
-  std::uint32_t lo = 0;
-  std::uint32_t hi = s.row_count;
-  while (lo < hi) {
-    ++search_steps;
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (s.rowidx[mid] < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo >= s.row_count || s.rowidx[lo] != v) return std::nullopt;
-
-  const std::int64_t begin = s.rowptr[lo].begin;
-  const std::int64_t new_begin = s.rowptr[lo].new_begin;
-  const std::int64_t end = s.rowptr[lo + 1].begin;
-  const std::int64_t prefix_end = new_begin < 0 ? end : new_begin;
-  GCSM_ASSERT(begin <= prefix_end && prefix_end <= end,
-              "DCSR row offsets out of order");
-
-  NeighborView view;
-  view.mode = mode;
-  view.prefix = {s.colidx + begin,
-                 static_cast<std::uint32_t>(prefix_end - begin)};
-  if (mode == ViewMode::kNew && new_begin >= 0) {
-    view.appended = {s.colidx + new_begin,
-                     static_cast<std::uint32_t>(end - new_begin)};
-  }
-  return view;
+NeighborView DcsrCache::row_view(std::uint32_t row, ViewMode mode) const {
+  GCSM_CHECK(row < active_.row_count, "row_view past the cached rows");
+  return active_.view(row, mode);
 }
 
 void DcsrCache::validate(const DynamicGraph* graph) const {
@@ -217,6 +256,9 @@ void DcsrCache::validate(const DynamicGraph* graph) const {
                    s.colidx == nullptr,
                "empty cache holds dangling array pointers");
     GCSM_CHECK(s.blob_bytes == 0, "empty cache reports a non-zero blob");
+    GCSM_CHECK(s.index.first.empty() && s.index.steps.empty() &&
+                   s.index.tombstones.empty(),
+               "empty cache holds a lookup index");
     return;
   }
 
@@ -249,6 +291,38 @@ void DcsrCache::validate(const DynamicGraph* graph) const {
   GCSM_CHECK(s.rowptr[s.row_count].new_begin == -1,
              "rowptr sentinel carries an appended offset");
 
+  // The host index must agree with rowidx: the smallest shift, every
+  // bucket start a lower bound, every probe count the search's own.
+  const Index& ix = s.index;
+  GCSM_CHECK(s.rowidx[s.row_count - 1] < ix.id_bound,
+             "cached vertex at or past the index's id bound");
+  GCSM_CHECK(ix.shift == bucket_shift(ix.id_bound, s.row_count),
+             "index shift is not the smallest with (V >> shift) <= rows");
+  GCSM_CHECK(ix.first.size() ==
+                 (static_cast<std::uint64_t>(ix.id_bound) >> ix.shift) + 2,
+             "index bucket count disagrees with its shift");
+  for (std::size_t b = 0; b < ix.first.size(); ++b) {
+    const std::uint64_t lo = static_cast<std::uint64_t>(b) << ix.shift;
+    const auto want = static_cast<std::uint32_t>(
+        std::partition_point(s.rowidx, s.rowidx + s.row_count,
+                             [&](VertexId id) {
+                               return static_cast<std::uint64_t>(id) < lo;
+                             }) -
+        s.rowidx);
+    GCSM_CHECK(ix.first[b] == want,
+               "index bucket " + std::to_string(b) +
+                   " does not start at its lower bound in rowidx");
+  }
+  GCSM_CHECK(ix.steps.size() == static_cast<std::size_t>(s.row_count) + 1,
+             "index probe table is not rows + 1 long");
+  for (std::uint32_t pos = 0; pos <= s.row_count; ++pos) {
+    GCSM_CHECK(ix.steps[pos] == probe_count(s.row_count, pos),
+               "index probe count at position " + std::to_string(pos) +
+                   " differs from the binary search");
+  }
+  GCSM_CHECK(ix.tombstones.size() == s.row_count,
+             "index tombstone flags are not one per row");
+
   for (std::uint32_t i = 0; i < s.row_count; ++i) {
     const std::string ctx = "cached row " + std::to_string(i);
     if (i > 0) {
@@ -275,6 +349,11 @@ void DcsrCache::validate(const DynamicGraph* graph) const {
           decode_neighbor(s.colidx[j - 1]) < decode_neighbor(s.colidx[j]),
           ctx + ": prefix not strictly sorted by decoded id");
     }
+    const bool tombstoned =
+        std::any_of(s.colidx + begin, s.colidx + prefix_end,
+                    [](VertexId w) { return is_deleted_neighbor(w); });
+    GCSM_CHECK((ix.tombstones[i] != 0) == tombstoned,
+               ctx + ": index tombstone flag disagrees with the prefix");
     for (std::int64_t j = prefix_end; j < end; ++j) {
       GCSM_CHECK(!is_deleted_neighbor(s.colidx[j]),
                  ctx + ": tombstone in appended run");

@@ -146,7 +146,7 @@ struct EnumerationScratch {
   std::array<std::uint32_t, kMaxQueryVertices> cursor{};
   KernelScratch kernel;
   CandidateMemo memo;
-  gpusim::TrafficCounters traffic;
+  gpusim::Traffic traffic;
   std::uint64_t ops = 0;  // charged intersection/materialization ops
   MatchStats stats;
 };

@@ -58,12 +58,6 @@ std::size_t gallop_intersect(const VertexId* small, std::size_t ns,
   return w;
 }
 
-bool has_tombstone_scalar(const VertexId* p, std::size_t n) {
-  VertexId bits = 0;
-  for (std::size_t i = 0; i < n; ++i) bits |= p[i];
-  return bits < 0;
-}
-
 // Branch-free two-pointer merge. Writes out[w] with w <= i on every step,
 // so out may alias a.
 std::size_t merge_scalar(const VertexId* a, std::size_t na, const VertexId* b,
@@ -104,16 +98,6 @@ constexpr CompressTable kCompress = make_compress_table();
 
 __attribute__((target("avx2"))) __m256i load8(const VertexId* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-__attribute__((target("avx2"))) bool has_tombstone_avx2(const VertexId* p,
-                                                        std::size_t n) {
-  __m256i bits = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) bits = _mm256_or_si256(bits, load8(p + i));
-  VertexId tail = 0;
-  for (; i < n; ++i) tail |= p[i];
-  return _mm256_movemask_ps(_mm256_castsi256_ps(bits)) != 0 || tail < 0;
 }
 
 // Bit l set iff lane l of va equals some lane of vb: each 128-bit half of
@@ -237,10 +221,10 @@ std::size_t pair_step(Operand a, Operand b, VertexId* out,
 
 }  // namespace
 
-const KernelTable kScalarKernels{has_tombstone_scalar, merge_scalar};
+const KernelTable kScalarKernels{merge_scalar};
 
 #if GCSM_KERNEL_X86
-const KernelTable kAvx2Kernels{has_tombstone_avx2, merge_avx2};
+const KernelTable kAvx2Kernels{merge_avx2};
 
 bool cpu_has_avx2() {
   static const bool has = [] {
@@ -283,13 +267,12 @@ std::uint64_t intersect_next(std::vector<VertexId>& acc, Operand b,
 
 namespace gcsm {
 
-detail::Operand KernelScratch::operand(const NeighborView& view, bool first,
-                                       const detail::KernelTable& kernels) {
+detail::Operand KernelScratch::operand(const NeighborView& view, bool first) {
   const NeighborSeg& p = view.prefix;
   const NeighborSeg& q = view.appended;  // always empty in kOld
   if (first) first_slot_ = kSlots;
   if (q.size == 0) {
-    if (!kernels.has_tombstone(p.data, p.size)) return {p.data, p.size};
+    if (!view.tombstones || p.size == 0) return {p.data, p.size};
   } else if (p.size == 0) {
     return {q.data, q.size};  // appended runs never hold tombstones
   }

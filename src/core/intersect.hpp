@@ -9,9 +9,11 @@
 //   * the first two operands are intersected view-to-view and only their
 //     intersection is written; a level with one constraint copies its view;
 //   * every later operand narrows that result in place;
-//   * a "plain" view (one segment, no tombstone) is read where it lies.
-//     Only multi-segment or tombstoned views, which exist for batch-touched
-//     vertices alone, are decoded, once per worker (KernelScratch).
+//   * a "plain" view (one segment, its `tombstones` flag clear) is read
+//     where it lies; the flag comes with the view, so no operand is scanned
+//     for sign bits. Only multi-segment or tombstoned views, which exist for
+//     batch-touched vertices alone, are decoded, once per worker
+//     (KernelScratch).
 // A pairwise step runs a block merge (8x8 AVX2 where the CPU has it, a
 // branch-free scalar merge otherwise) or gallops when one side is far
 // shorter. The choice is automatic.
@@ -49,8 +51,6 @@ struct Operand {
 // The set-operation entry points one kernel instance runs
 // (core/intersect_kernels.hpp names the scalar and AVX2 tables).
 struct KernelTable {
-  // True if any entry of [p, p+n) has its sign bit set (a tombstone).
-  bool (*has_tombstone)(const VertexId* p, std::size_t n);
   // Writes a ∩ b to out and returns its size. out may alias a; otherwise it
   // must have room for na entries. Never reads outside [a, a+na) and
   // [b, b+nb).
@@ -73,18 +73,17 @@ std::uint64_t intersect_next(std::vector<VertexId>& acc, Operand b,
 }  // namespace detail
 
 // Per-worker kernel scratch: decoded copies of the non-plain views
-// (multi-segment or tombstoned) met while it lives. A launch's views are
-// immutable while it runs, so a decoded copy is keyed by the view's storage
-// and reused: the hub lists a batch touched are decoded once per worker,
-// not once per use. So a scratch must not outlive the launch (or estimate)
+// (multi-segment, or flagged as holding tombstones) met while it lives. A
+// launch's views are immutable while it runs, so a decoded copy is keyed by
+// the view's storage and reused: the hub lists a batch touched are decoded
+// once per worker, not once per use. So a scratch must not outlive the launch (or estimate)
 // whose views it has seen.
 class KernelScratch {
  public:
   // The view as a plain run of live ids: the view itself when plain, else
   // its decoded copy. The first operand of a level stays valid while the
   // second is resolved; any other operand, until the next call.
-  detail::Operand operand(const NeighborView& view, bool first,
-                          const detail::KernelTable& kernels);
+  detail::Operand operand(const NeighborView& view, bool first);
 
  private:
   struct Decoded {
@@ -108,18 +107,17 @@ std::uint64_t compute_candidates(
     KernelScratch& scratch,
     const detail::KernelTable& kernels = detail::dispatched_kernels()) {
   const detail::Operand first =
-      scratch.operand(view_of(std::size_t{0}), true, kernels);
+      scratch.operand(view_of(std::size_t{0}), true);
   std::uint64_t ops = first.size;
   if (num_views == 1 || first.size == 0) {
     out.assign(first.data, first.data + first.size);
     return ops;
   }
   ops += detail::intersect_first(
-      first, scratch.operand(view_of(std::size_t{1}), false, kernels), out,
-      kernels);
+      first, scratch.operand(view_of(std::size_t{1}), false), out, kernels);
   for (std::size_t i = 2; i < num_views && !out.empty(); ++i) {
     ops += detail::intersect_next(
-        out, scratch.operand(view_of(i), false, kernels), kernels);
+        out, scratch.operand(view_of(i), false), kernels);
   }
   return ops;
 }

@@ -123,6 +123,20 @@ struct BatchReport {
   // attribute activity to one batch.
   metrics::Snapshot metrics;
 
+  // Clears the fields an attempt's update, estimate and pack phases set, so
+  // that a retried or escalated attempt, which may skip estimate and pack,
+  // reports none of a failed attempt's values.
+  void clear_attempt_fields() {
+    wall_update_ms = 0.0;
+    wall_estimate_ms = 0.0;
+    wall_pack_ms = 0.0;
+    sim_estimate_s = 0.0;
+    sim_pack_s = 0.0;
+    walks = 0;
+    cached_vertices = 0;
+    cache_bytes = 0;
+  }
+
   double cache_hit_rate() const {
     const auto total = traffic.cache_hits + traffic.cache_misses;
     return total == 0 ? 0.0

@@ -115,6 +115,7 @@ void Pipeline::run_attempt(const EdgeBatch& batch, const MatchSink* sink,
 
   gpusim::TrafficCounters& counters = device_.counters();
   counters.reset();
+  report.clear_attempt_fields();
   const gpusim::SimParams& sim = options_.sim;
 
   // Step 1: dynamic graph maintenance on the CPU.

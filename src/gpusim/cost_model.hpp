@@ -57,7 +57,8 @@ struct SimParams {
   double host_mem_bandwidth_gbps = 50.0;
 };
 
-// Plain snapshot of traffic (copyable, no atomics).
+// Plain traffic counts (copyable, no atomics): a snapshot, or one worker's
+// own accumulator.
 struct Traffic {
   std::uint64_t device_bytes = 0;       // reads served from device memory
   std::uint64_t zero_copy_lines = 0;    // 128-B lines fetched from host
@@ -80,7 +81,9 @@ struct Traffic {
   std::uint64_t cpu_access_bytes(const SimParams& p) const;
 };
 
-// Thread-safe accumulator used during kernel execution.
+// Thread-safe accumulator of one launch or one device. Per-worker code
+// (AccessPolicy::fetch, PageCache::access) counts into its own plain Traffic
+// instead, and the launch folds each worker's in once, through add().
 class TrafficCounters {
  public:
   void reset();
@@ -88,24 +91,11 @@ class TrafficCounters {
   // Adds every field of `t` (folds a per-worker accumulator in).
   void add(const Traffic& t);
 
-  void add_device_bytes(std::uint64_t b) { device_bytes_.fetch_add(b, mo); }
-  void add_zero_copy(std::uint64_t lines, std::uint64_t bytes) {
-    zero_copy_lines_.fetch_add(lines, mo);
-    zero_copy_bytes_.fetch_add(bytes, mo);
-  }
+  // A DMA transfer, charged by the device that performs it.
   void add_dma(std::uint64_t calls, std::uint64_t bytes) {
     dma_calls_.fetch_add(calls, mo);
     dma_bytes_.fetch_add(bytes, mo);
   }
-  void add_um_fault(std::uint64_t n = 1) { um_faults_.fetch_add(n, mo); }
-  void add_um_hit(std::uint64_t n = 1) { um_hits_.fetch_add(n, mo); }
-  void add_compute(std::uint64_t ops) { compute_ops_.fetch_add(ops, mo); }
-  void add_host(std::uint64_t ops, std::uint64_t bytes) {
-    host_ops_.fetch_add(ops, mo);
-    host_bytes_.fetch_add(bytes, mo);
-  }
-  void add_cache_hit(std::uint64_t n = 1) { cache_hits_.fetch_add(n, mo); }
-  void add_cache_miss(std::uint64_t n = 1) { cache_misses_.fetch_add(n, mo); }
 
  private:
   static constexpr auto mo = std::memory_order_relaxed;

@@ -40,17 +40,6 @@ double DynamicGraph::avg_degree() const {
                             static_cast<double>(adj_.size());
 }
 
-NeighborView DynamicGraph::view(VertexId v, ViewMode mode) const {
-  const auto& a = adj_[v];
-  NeighborView view;
-  view.mode = mode;
-  view.prefix = {a.data.get(), a.old_size};
-  if (mode == ViewMode::kNew) {
-    view.appended = {a.data.get() + a.old_size, a.size - a.old_size};
-  }
-  return view;
-}
-
 void DynamicGraph::ensure_capacity(VertexId v, std::uint32_t needed) {
   auto& a = adj_[v];
   if (needed <= a.capacity) return;

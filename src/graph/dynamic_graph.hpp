@@ -41,10 +41,17 @@ struct NeighborSeg {
 //  kOld: iterate `prefix`, decoding tombstones as live; `appended` is empty.
 //  kNew: iterate `prefix` skipping tombstones, then `appended` (all live).
 // Both segments are sorted by decoded vertex id.
+//
+// `tombstones` is false only when `prefix` is known to hold none, so a
+// reader may take a one-segment view as a plain run of live ids without
+// scanning it. DynamicGraph::view() and DcsrCache::lookup() set it from the
+// list's tombstone count; a hand-built view keeps the default, which is
+// always correct ("may hold tombstones, so decode").
 struct NeighborView {
   NeighborSeg prefix;
   NeighborSeg appended;
   ViewMode mode = ViewMode::kNew;
+  bool tombstones = true;
 
   // Upper bound on the number of live entries (exact for kOld).
   std::uint32_t size_bound() const { return prefix.size + appended.size; }
@@ -81,7 +88,17 @@ class DynamicGraph {
     return adj_[v].old_size;
   }
 
-  NeighborView view(VertexId v, ViewMode mode) const;
+  NeighborView view(VertexId v, ViewMode mode) const {
+    const auto& a = adj_[v];
+    NeighborView view;
+    view.mode = mode;
+    view.tombstones = a.old_tombstones != 0;
+    view.prefix = {a.data.get(), a.old_size};
+    if (mode == ViewMode::kNew) {
+      view.appended = {a.data.get() + a.old_size, a.size - a.old_size};
+    }
+    return view;
+  }
 
   // The pinned-memory addresses of vertex v's list: the CPU address (pHost)
   // and the device-mapped address (pDevice). Identical in the simulation but

@@ -489,15 +489,7 @@ void MultiQueryEngine::run_shared_attempt(const EdgeBatch& batch,
   gpusim::TrafficCounters& counters = device_.counters();
   counters.reset();
   const gpusim::SimParams& sim = options_.sim;
-  // A retried attempt starts from clean per-attempt fields.
-  shared.wall_update_ms = 0.0;
-  shared.wall_estimate_ms = 0.0;
-  shared.wall_pack_ms = 0.0;
-  shared.sim_estimate_s = 0.0;
-  shared.sim_pack_s = 0.0;
-  shared.walks = 0;
-  shared.cached_vertices = 0;
-  shared.cache_bytes = 0;
+  shared.clear_attempt_fields();
 
   // Step 1: dynamic graph maintenance — once for every query.
   phase_update(graph_, batch, options_.check_invariants, metrics_, shared);
@@ -941,7 +933,9 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // Shared phases 1-3 under the shared recovery ladder. The escalation is
   // not a CPU re-run (matching has not happened yet) but dropping the
   // cache: the batch is served zero-copy, which cannot change any query's
-  // counts.
+  // counts. A kind that packs no cache has nothing to drop, so its ladder
+  // starts on the last rung, as Pipeline's does for the CPU engine.
+  const bool packs_cache = uses_device_cache(options_.kind);
   const Transaction txn{
       [&](bool drop_cache) {
         run_shared_attempt(*use, drop_cache, roles, shared, staged_est,
@@ -950,8 +944,10 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
       rollback,
       [&] { return budget_.shrink(options_.cache_budget_bytes, metrics_); },
       options_.kind == EngineKind::kVsgm};
-  out.cache_dropped = run_transaction(options_.recovery, /*escalated=*/false,
-                                      txn, parker_, shared);
+  out.cache_dropped =
+      run_transaction(options_.recovery, /*escalated=*/!packs_cache, txn,
+                      parker_, shared) &&
+      packs_cache;
 
   // Phase 4: fan the match out across the participating queries. Each
   // query runs on a pool thread with its own executor, counters, and

@@ -87,11 +87,7 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
   out.stitch = StitchStats{};
   out.shared.stats = MatchStats{};
   out.shared.traffic = gpusim::Traffic{};
-  out.shared.walks = 0;
-  out.shared.cached_vertices = 0;
-  out.shared.cache_bytes = 0;
-  out.shared.sim_estimate_s = 0.0;
-  out.shared.sim_pack_s = 0.0;
+  out.shared.clear_attempt_fields();
   out.shared.sim_match_s = 0.0;
   out.shared.sim_reorg_s = 0.0;
 

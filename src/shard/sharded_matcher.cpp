@@ -44,8 +44,8 @@ class RoutedShardPolicy final : public AccessPolicy {
   }
 
   NeighborView fetch(VertexId v, ViewMode mode,
-                     gpusim::TrafficCounters& counters) override {
-    return policies_[sg_.owner(v)]->fetch(v, mode, counters);
+                     gpusim::Traffic& traffic) override {
+    return policies_[sg_.owner(v)]->fetch(v, mode, traffic);
   }
   bool on_device() const override { return on_device_; }
 
@@ -68,12 +68,12 @@ struct alignas(64) ShardScratch {
   // compute for device policies, host ops for the CPU fallback.
   gpusim::Traffic charged_traffic(const AccessPolicy& policy) {
     if (policy.on_device()) {
-      dfs.traffic.add_compute(dfs.ops);
+      dfs.traffic.compute_ops += dfs.ops;
     } else {
-      dfs.traffic.add_host(dfs.ops, 0);
+      dfs.traffic.host_ops += dfs.ops;
     }
     dfs.ops = 0;
-    return dfs.traffic.snapshot();
+    return dfs.traffic;
   }
 };
 

@@ -181,9 +181,8 @@ TEST(AccessPolicy, ZeroCopyChargesLines) {
   DynamicGraph g(CsrGraph::from_edges(3, {{0, 1}, {0, 2}}));
   gpusim::SimParams params;
   ZeroCopyPolicy policy(g, params);
-  gpusim::TrafficCounters c;
-  policy.fetch(0, ViewMode::kNew, c);
-  const auto t = c.snapshot();
+  gpusim::Traffic t;
+  policy.fetch(0, ViewMode::kNew, t);
   EXPECT_GE(t.zero_copy_lines, 1u);
   EXPECT_EQ(t.zero_copy_bytes, 2 * sizeof(VertexId));
   EXPECT_EQ(t.device_bytes, 0u);
@@ -198,15 +197,13 @@ TEST(AccessPolicy, CachedHitUsesDeviceMissFallsBack) {
 
   gpusim::SimParams params;
   CachedPolicy policy(g, cache, params);
-  gpusim::TrafficCounters c;
-  policy.fetch(0, ViewMode::kNew, c);  // hit
-  auto t = c.snapshot();
+  gpusim::Traffic t;
+  policy.fetch(0, ViewMode::kNew, t);  // hit
   EXPECT_EQ(t.cache_hits, 1u);
   EXPECT_EQ(t.zero_copy_lines, 0u);
   EXPECT_GT(t.device_bytes, 0u);
 
-  policy.fetch(1, ViewMode::kNew, c);  // miss
-  t = c.snapshot();
+  policy.fetch(1, ViewMode::kNew, t);  // miss
   EXPECT_EQ(t.cache_misses, 1u);
   EXPECT_GE(t.zero_copy_lines, 1u);
 }
@@ -215,10 +212,9 @@ TEST(AccessPolicy, UnifiedMemoryFaultsOnceThenHits) {
   DynamicGraph g(CsrGraph::from_edges(3, {{0, 1}, {0, 2}}));
   gpusim::SimParams params;
   UnifiedMemoryPolicy policy(g, params);
-  gpusim::TrafficCounters c;
-  policy.fetch(0, ViewMode::kNew, c);
-  policy.fetch(0, ViewMode::kNew, c);
-  const auto t = c.snapshot();
+  gpusim::Traffic t;
+  policy.fetch(0, ViewMode::kNew, t);
+  policy.fetch(0, ViewMode::kNew, t);
   EXPECT_GE(t.um_faults, 1u);
   EXPECT_GE(t.um_hits, 1u);
 }
@@ -226,10 +222,10 @@ TEST(AccessPolicy, UnifiedMemoryFaultsOnceThenHits) {
 TEST(AccessPolicy, CountingPolicyRecordsPerVertexCounts) {
   DynamicGraph g(CsrGraph::from_edges(3, {{0, 1}, {1, 2}}));
   CountingPolicy policy(g);
-  gpusim::TrafficCounters c;
-  policy.fetch(1, ViewMode::kNew, c);
-  policy.fetch(1, ViewMode::kOld, c);
-  policy.fetch(2, ViewMode::kNew, c);
+  gpusim::Traffic t;
+  policy.fetch(1, ViewMode::kNew, t);
+  policy.fetch(1, ViewMode::kOld, t);
+  policy.fetch(2, ViewMode::kNew, t);
   const auto counts = policy.access_counts();
   EXPECT_EQ(counts[0], 0u);
   EXPECT_EQ(counts[1], 2u);

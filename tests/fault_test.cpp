@@ -433,6 +433,35 @@ TEST(PipelineFaults, ExhaustedRetriesRethrowWithGraphRolledBack) {
   pipe.graph().validate();
 }
 
+// A CPU re-run skips the estimate and the pack, so it must not report the
+// walks, estimate or pack figures of the device attempts that failed.
+TEST(PipelineFaults, CpuFallbackReportsNoStaleEstimateOrPack) {
+  StreamFixture f(54);
+  const QueryGraph q = make_triangle();
+  Pipeline reference(f.stream.initial, q, fault_options(EngineKind::kGcsm));
+
+  FaultInjector inj(16);
+  inj.arm(fault_site::kCacheBuild, {1.0, 0});  // every cache build aborts
+  PipelineOptions opt = fault_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  Pipeline pipe(f.stream.initial, q, opt);
+
+  ASSERT_EQ(f.stream.batches[0].updates.size(), 64u);
+  const BatchReport got = pipe.process_batch(f.stream.batches[0]);
+  EXPECT_TRUE(got.cpu_fallback);
+  EXPECT_EQ(got.walks, 0u);
+  EXPECT_EQ(got.sim_estimate_s, 0.0);
+  EXPECT_EQ(got.wall_estimate_ms, 0.0);
+  EXPECT_EQ(got.sim_pack_s, 0.0);
+  EXPECT_EQ(got.wall_pack_ms, 0.0);
+  EXPECT_EQ(got.cached_vertices, 0u);
+  EXPECT_EQ(got.cache_bytes, 0u);
+  EXPECT_EQ(got.stats.signed_embeddings,
+            reference.process_batch(f.stream.batches[0])
+                .stats.signed_embeddings);
+  pipe.graph().validate();
+}
+
 TEST(PipelineFaults, UnsanitizedMalformedBatchRollsBackAndRethrows) {
   StreamFixture f(52);
   const QueryGraph q = make_triangle();
@@ -811,6 +840,45 @@ TEST(LadderSharded, OomShrinksOnlyTheShardThatRaisedIt) {
   EXPECT_EQ(got.shard_levels, (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(got.effective_cache_budget, opt.cache_budget_bytes / 4 * 3);
   h.validate();
+}
+
+// A kind that packs no cache (zero-copy here) has nothing for the shared
+// ladder to drop, so its shared phase starts on the last rung: a failure
+// is retried, never escalated, and an exhausted ladder rethrows.
+TEST(LadderMultiQuery, CachelessKindRetriesWithoutEscalating) {
+  StreamFixture f(55);
+  const QueryGraph q = make_triangle();
+  Pipeline reference(f.stream.initial, q,
+                     fault_options(EngineKind::kZeroCopy));
+  const std::int64_t want =
+      reference.process_batch(f.stream.batches[0]).stats.signed_embeddings;
+
+  for (const int attempts : {2, 1}) {
+    SCOPED_TRACE("max_attempts=" + std::to_string(attempts));
+    FaultInjector inj(18);
+    inj.arm(fault_site::kGraphApply, {0.0, 1});  // the first apply fails
+    PipelineOptions opt = fault_options(EngineKind::kZeroCopy);
+    opt.fault_injector = &inj;
+    opt.recovery.max_attempts = attempts;
+    LadderHarness h(LadderEngine::kMultiQuery, f.stream.initial, q, opt);
+    const std::uint64_t before = h.count();
+
+    if (attempts == 2) {
+      const LadderOutcome got = h.process(f.stream.batches[0]);
+      EXPECT_EQ(got.retries, 1u);
+      EXPECT_FALSE(got.cache_dropped);
+      EXPECT_EQ(got.signed_embeddings, want);
+    } else {
+      try {
+        h.process(f.stream.batches[0]);
+        FAIL() << "a one-attempt ladder must rethrow";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kGraphApply);
+      }
+      EXPECT_EQ(h.count(), before);  // the batch rolled back
+    }
+    h.validate();
+  }
 }
 
 // Backoff on the fan-out path: a failing query is requeued with a ready-at

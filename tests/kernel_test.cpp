@@ -12,14 +12,22 @@
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/dcsr_cache.hpp"
+#include "core/gpu_engine.hpp"
 #include "core/intersect.hpp"
 #include "core/intersect_kernels.hpp"
 #include "core/list_ref.hpp"
+#include "gpusim/device.hpp"
+#include "graph/generators.hpp"
+#include "graph/update_stream.hpp"
 #include "util/rng.hpp"
 
 namespace gcsm {
@@ -180,6 +188,7 @@ StoredView store_view(Rng& rng, const std::vector<VertexId>& prefix_ids,
   s.prefix = exact_copy(prefix);
   s.appended = exact_copy(appended);
   s.view.mode = mode;
+  s.view.tombstones = !dead.empty();
   s.view.prefix = {s.prefix.get(), static_cast<std::uint32_t>(prefix.size())};
   s.view.appended = {s.appended.get(),
                      static_cast<std::uint32_t>(appended.size())};
@@ -400,29 +409,247 @@ TEST(Kernel, MergeEntryPointsInPlaceAndOutOfPlace) {
   }
 }
 
-TEST(Kernel, TombstoneScanEntryPoints) {
-  for (const auto& [name, kernels] : tables()) {
-    for (std::size_t n = 0; n <= 40; ++n) {
-      std::vector<VertexId> ids(n);
-      for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<VertexId>(i);
-      EXPECT_FALSE(kernels->has_tombstone(exact_copy(ids).get(), n))
-          << name << " n=" << n;
-      for (std::size_t t = 0; t < n; ++t) {
-        std::vector<VertexId> with = ids;
-        with[t] = tombstone(with[t]);
-        EXPECT_TRUE(kernels->has_tombstone(exact_copy(with).get(), n))
-            << name << " n=" << n << " tombstone at " << t;
-      }
-    }
-  }
-}
-
 TEST(Kernel, DispatchPicksAvx2ExactlyWhenTheCpuHasIt) {
   const KernelTable& d = detail::dispatched_kernels();
   const KernelTable& want =
       detail::cpu_has_avx2() ? detail::kAvx2Kernels : detail::kScalarKernels;
   EXPECT_EQ(d.merge, want.merge);
-  EXPECT_EQ(d.has_tombstone, want.has_tombstone);
+}
+
+// ------------------------------------------------------------ DCSR index ---
+//
+// DcsrCache::lookup finds a row through its host-side radix index, not the
+// kernel's binary search on rowidx, yet must report the probes that search
+// makes. Against the search itself, for every id in [0, V + 2) and both
+// modes: the same hit or miss, the same view, the same probe count.
+
+// The search the index replaces: the lower bound of v in `ids`, and the
+// probes it took.
+std::pair<std::uint32_t, std::uint32_t> reference_search(
+    std::span<const VertexId> ids, VertexId v) {
+  std::uint32_t lo = 0;
+  auto hi = static_cast<std::uint32_t>(ids.size());
+  std::uint32_t probes = 0;
+  while (lo < hi) {
+    ++probes;
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (ids[mid] < v) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return {lo, probes};
+}
+
+void expect_reference_lookups(const DcsrCache& cache, VertexId id_end,
+                              const std::string& ctx) {
+  const std::span<const VertexId> ids = cache.cached_ids();
+  ASSERT_EQ(ids.size(), cache.num_cached()) << ctx;
+  for (VertexId v = 0; v < id_end; ++v) {
+    const auto [pos, probes] = reference_search(ids, v);
+    const bool hit = pos < ids.size() && ids[pos] == v;
+    for (const ViewMode mode : {ViewMode::kOld, ViewMode::kNew}) {
+      const std::string at = ctx + " v=" + std::to_string(v) +
+                             (mode == ViewMode::kOld ? " old" : " new");
+      std::uint32_t steps = ~0u;
+      const std::optional<NeighborView> got = cache.lookup(v, mode, steps);
+      ASSERT_EQ(steps, probes) << at;
+      ASSERT_EQ(got.has_value(), hit) << at;
+      if (!hit) continue;
+      const NeighborView want = cache.row_view(pos, mode);
+      EXPECT_EQ(got->prefix.data, want.prefix.data) << at;
+      EXPECT_EQ(got->prefix.size, want.prefix.size) << at;
+      EXPECT_EQ(got->appended.data, want.appended.data) << at;
+      EXPECT_EQ(got->appended.size, want.appended.size) << at;
+      EXPECT_EQ(got->mode, mode) << at;
+      EXPECT_EQ(got->tombstones, want.tombstones) << at;
+    }
+  }
+}
+
+struct CacheRig {
+  explicit CacheRig(const CsrGraph& g) : graph(g) {}
+
+  void build(const std::vector<VertexId>& order,
+             std::uint64_t budget = 1ull << 30) {
+    cache.build(graph, order, budget, device, counters);
+  }
+  VertexId id_end() const { return graph.num_vertices() + 2; }
+
+  DynamicGraph graph;
+  gpusim::Device device;
+  gpusim::TrafficCounters counters;
+  DcsrCache cache;
+};
+
+CsrGraph ba_graph(VertexId n, std::uint64_t seed) {
+  Rng rng(seed);
+  return generate_barabasi_albert(n, 4, 2, rng);
+}
+
+TEST(DcsrIndex, EmptyAndOneRowCachesMatchTheSearch) {
+  CacheRig rig(ba_graph(200, 31));
+  expect_reference_lookups(rig.cache, rig.id_end(), "never built");
+  rig.build({});
+  expect_reference_lookups(rig.cache, rig.id_end(), "empty selection");
+  rig.build({5, 6, 7}, 8);  // no room for a single row
+  EXPECT_EQ(rig.cache.num_cached(), 0u);
+  expect_reference_lookups(rig.cache, rig.id_end(), "budget for no row");
+  rig.cache.validate(&rig.graph);
+  for (const VertexId v : {0, 37, 199}) {
+    rig.build({v});
+    ASSERT_EQ(rig.cache.num_cached(), 1u);
+    rig.cache.validate(&rig.graph);
+    expect_reference_lookups(rig.cache, rig.id_end(),
+                             "one row " + std::to_string(v));
+  }
+}
+
+TEST(DcsrIndex, BudgetTruncatedSelectionMatchesTheSearch) {
+  CacheRig rig(ba_graph(500, 32));
+  const std::vector<VertexId> order = select_by_degree(rig.graph);
+  std::uint64_t total = 0;
+  for (const VertexId v : order) total += rig.graph.list_bytes(v);
+  rig.build(order, total / 4);
+  EXPECT_GT(rig.cache.num_cached(), 1u);
+  EXPECT_LT(rig.cache.num_cached(), order.size());
+  rig.cache.validate(&rig.graph);
+  expect_reference_lookups(rig.cache, rig.id_end(), "truncated");
+}
+
+TEST(DcsrIndex, DenseLowIdHubsMatchTheSearch) {
+  // R-MAT puts its hubs at low ids, so a hot set crowds the first buckets
+  // and leaves the rest empty.
+  Rng rng(33);
+  CacheRig rig(generate_rmat(12, 8, 0.57, 0.19, 0.19, 1, rng));
+  std::vector<VertexId> hubs(64);
+  std::iota(hubs.begin(), hubs.end(), 0);
+  rig.build(hubs);
+  rig.cache.validate(&rig.graph);
+  expect_reference_lookups(rig.cache, rig.id_end(), "dense low ids");
+  hubs.push_back(rig.graph.num_vertices() - 1);
+  rig.build(hubs);
+  rig.cache.validate(&rig.graph);
+  expect_reference_lookups(rig.cache, rig.id_end(), "dense plus last id");
+}
+
+TEST(DcsrIndex, VerticesCreatedAfterThePackMiss) {
+  CacheRig rig(ba_graph(300, 34));
+  rig.build(select_by_degree(rig.graph));
+  const VertexId n = rig.graph.num_vertices();
+  ASSERT_EQ(rig.cache.num_cached(), static_cast<std::uint32_t>(n));
+  EdgeBatch batch;
+  batch.new_vertex_labels = {{n, 0}, {n + 1, 1}, {n + 5, 0}};
+  batch.updates = {{n, 0, +1}, {n + 1, n, +1}, {n + 5, 3, +1}};
+  rig.graph.apply_batch(batch);
+  ASSERT_EQ(rig.graph.num_vertices(), n + 6);
+  rig.cache.validate();
+  expect_reference_lookups(rig.cache, rig.id_end(), "grown graph");
+}
+
+TEST(DcsrIndex, StagedEpochServesOnlyAfterPublish) {
+  UpdateStreamOptions opt;
+  opt.pool_edge_count = 256;
+  opt.batch_size = 64;
+  opt.seed = 36;
+  const UpdateStream stream = make_update_stream(ba_graph(400, 35), opt);
+  CacheRig rig(stream.initial);
+  std::vector<VertexId> evens;
+  for (VertexId v = 0; v < rig.graph.num_vertices(); v += 2) {
+    evens.push_back(v);
+  }
+  rig.build(evens);
+  const std::vector<VertexId> active(rig.cache.cached_ids().begin(),
+                                     rig.cache.cached_ids().end());
+  ASSERT_EQ(active, evens);
+
+  rig.graph.apply_batch(stream.batches[0]);
+  const std::vector<VertexId> order = select_by_degree(rig.graph);
+  rig.cache.build_staged(rig.graph, order, 64 << 10, rig.device,
+                         rig.counters);
+  ASSERT_TRUE(rig.cache.has_staged());
+  const std::vector<VertexId> still(rig.cache.cached_ids().begin(),
+                                    rig.cache.cached_ids().end());
+  EXPECT_EQ(still, active);
+  rig.cache.validate();
+  expect_reference_lookups(rig.cache, rig.id_end(), "before publish");
+
+  rig.cache.publish();
+  EXPECT_FALSE(rig.cache.has_staged());
+  EXPECT_NE(rig.cache.cached_ids().size(), active.size());
+  rig.cache.validate(&rig.graph);
+  expect_reference_lookups(rig.cache, rig.id_end(), "after publish");
+}
+
+// ------------------------------------------------------- tombstone flag ---
+//
+// A view's `tombstones` flag replaces a scan of its prefix for sign bits, so
+// it must equal that scan on every view the graph and the cache hand out,
+// whatever state the graph is in.
+
+bool scan_for_tombstones(const NeighborView& view) {
+  return std::any_of(view.prefix.data, view.prefix.data + view.prefix.size,
+                     [](VertexId w) { return is_deleted_neighbor(w); });
+}
+
+// Checks every vertex's graph view and cached view (a cache over every
+// vertex, packed now), both modes; returns how many graph views are
+// flagged.
+std::size_t expect_flags_match_scan(const DynamicGraph& graph,
+                                    const std::string& ctx) {
+  gpusim::Device device;
+  gpusim::TrafficCounters counters;
+  DcsrCache cache;
+  std::vector<VertexId> all(static_cast<std::size_t>(graph.num_vertices()));
+  std::iota(all.begin(), all.end(), 0);
+  cache.build(graph, all, 1ull << 30, device, counters);
+  cache.validate(&graph);
+  std::size_t flagged = 0;
+  for (const VertexId v : all) {
+    for (const ViewMode mode : {ViewMode::kOld, ViewMode::kNew}) {
+      const std::string at = ctx + " v=" + std::to_string(v);
+      const NeighborView view = graph.view(v, mode);
+      EXPECT_EQ(view.tombstones, scan_for_tombstones(view)) << at;
+      flagged += view.tombstones ? 1 : 0;
+      std::uint32_t steps = 0;
+      const std::optional<NeighborView> cached =
+          cache.lookup(v, mode, steps);
+      if (cached.has_value()) {
+        EXPECT_EQ(cached->tombstones, scan_for_tombstones(*cached)) << at;
+      } else {
+        ADD_FAILURE() << at << ": not cached";
+      }
+    }
+  }
+  return flagged;
+}
+
+TEST(TombstoneFlag, EqualsThePrefixScanAcrossApplyReorganizeRestore) {
+  UpdateStreamOptions opt;
+  opt.pool_edge_count = 256;
+  opt.batch_size = 64;
+  opt.seed = 38;
+  const UpdateStream stream = make_update_stream(ba_graph(400, 37), opt);
+  DynamicGraph graph(stream.initial);
+  EXPECT_EQ(expect_flags_match_scan(graph, "initial"), 0u);
+
+  graph.apply_batch(stream.batches[0]);
+  EXPECT_GT(expect_flags_match_scan(graph, "applied"), 0u);
+  const DynamicGraph::Snapshot pending = graph.snapshot_full();
+  graph.reorganize();
+  EXPECT_EQ(expect_flags_match_scan(graph, "reorganized"), 0u);
+
+  const DynamicGraph::Snapshot before = graph.snapshot_for(stream.batches[1]);
+  graph.apply_batch(stream.batches[1]);
+  EXPECT_GT(expect_flags_match_scan(graph, "applied again"), 0u);
+  graph.restore(before);
+  graph.validate();
+  EXPECT_EQ(expect_flags_match_scan(graph, "restored"), 0u);
+
+  graph.restore(pending);
+  graph.validate();
+  EXPECT_GT(expect_flags_match_scan(graph, "restored pending"), 0u);
 }
 
 }  // namespace

@@ -209,7 +209,8 @@ TEST(Robustness, IntersectFuzzAgainstStl) {
 
 TEST(Robustness, PageCacheConcurrentAccessIsSafe) {
   gpusim::PageCache cache(64 * 4096, 4096);
-  gpusim::TrafficCounters counters;
+  // One accumulator per thread, as each match worker keeps its own.
+  std::vector<gpusim::Traffic> per_thread(4);
   std::vector<std::thread> threads;
   std::atomic<bool> go{false};
   for (int t = 0; t < 4; ++t) {
@@ -219,13 +220,14 @@ TEST(Robustness, PageCacheConcurrentAccessIsSafe) {
       for (int i = 0; i < 5000; ++i) {
         const auto addr = reinterpret_cast<const void*>(
             static_cast<std::uintptr_t>((i * 7919 + t * 131) % 512) * 4096);
-        cache.access(addr, 64, counters);
+        cache.access(addr, 64, per_thread[t]);
       }
     });
   }
   go = true;
   for (auto& t : threads) t.join();
-  const auto traffic = counters.snapshot();
+  gpusim::Traffic traffic;
+  for (const gpusim::Traffic& t : per_thread) traffic += t;
   EXPECT_EQ(traffic.um_faults + traffic.um_hits, 4u * 5000u);
   EXPECT_LE(cache.resident_pages(), 64u);
 }
