@@ -73,6 +73,35 @@ double parse_duration_s(const CliArgs& args) {
   return duration_s;
 }
 
+// --wal-dir (durability stays off without it), --snapshot-every and
+// --recover: a run without --recover starts fresh.
+DurabilityOptions parse_durability(const CliArgs& args) {
+  DurabilityOptions d;
+  if (!args.has("wal-dir")) return d;
+  d.wal_dir = args.get("wal-dir", "wal");
+  d.snapshot_interval =
+      static_cast<std::uint64_t>(args.get_int("snapshot-every", 8));
+  d.recover_on_start = args.has("recover");
+  return d;
+}
+
+// Prints what recover-on-start found and returns the batch to resume at:
+// the durable state covers a committed prefix of the deterministic stream.
+std::size_t report_recovery(const RecoveredState& rec,
+                            const durable::DurableCounters& cum,
+                            const std::string& extra) {
+  const auto start = static_cast<std::size_t>(cum.batches_committed);
+  std::printf(
+      "recovered: %llu batch(es) committed (%s snapshot, %zu replayed, "
+      "%zu uncommitted dropped)%s%s; resuming at batch %zu\n",
+      static_cast<unsigned long long>(cum.batches_committed),
+      rec.snapshot_loaded ? "with" : "no", rec.replay.size(),
+      rec.dropped_uncommitted,
+      rec.wal_tail_truncated ? " [WAL tail truncated]" : "", extra.c_str(),
+      start);
+  return start;
+}
+
 QueryGraph parse_query(const std::string& name, int labels) {
   QueryGraph q;
   if (name.size() == 2 && (name[0] == 'Q' || name[0] == 'q')) {
@@ -133,7 +162,8 @@ int usage() {
       "                every N batches; default 8, 0 = never)\n"
       "               [--recover]            (replay committed state from\n"
       "                --wal-dir before processing; resumes the stream\n"
-      "                after the last committed batch)\n"
+      "                after the last committed batch; neither flag\n"
+      "                applies to --shards, which starts fresh)\n"
       "               [--poison-query=ID]    (multi-query only: arm the\n"
       "                match.query fault site at p=1.0 against query ID --\n"
       "                a poison tenant; see docs/ROBUSTNESS.md)\n"
@@ -190,12 +220,7 @@ int run_multi_query(const CliArgs& args, const UpdateStream& stream,
   }
   mopt.estimator.num_walks =
       static_cast<std::uint64_t>(args.get_int("walks", 0));
-  if (args.has("wal-dir")) {
-    mopt.durability.wal_dir = args.get("wal-dir", "wal");
-    mopt.durability.snapshot_interval =
-        static_cast<std::uint64_t>(args.get_int("snapshot-every", 8));
-    mopt.durability.recover_on_start = args.has("recover");
-  }
+  mopt.durability = parse_durability(args);
   mopt.breaker.trip_after_failures =
       static_cast<std::uint64_t>(args.get_int("breaker-trip-after", 2));
   mopt.breaker.cooldown_batches =
@@ -260,17 +285,9 @@ int run_multi_query(const CliArgs& args, const UpdateStream& stream,
   // as the single-query path does.
   std::size_t start_batch = 0;
   if (mopt.durability.enabled() && mopt.durability.recover_on_start) {
-    const RecoveredState& rec = srv.recovery_info();
-    const durable::DurableCounters& cum = srv.cumulative();
-    start_batch = static_cast<std::size_t>(cum.batches_committed);
-    std::printf(
-        "recovered: %llu batch(es) committed (%s snapshot, %zu replayed, "
-        "%zu uncommitted dropped)%s; %zu queries; resuming at batch %zu\n",
-        static_cast<unsigned long long>(cum.batches_committed),
-        rec.snapshot_loaded ? "with" : "no", rec.replay.size(),
-        rec.dropped_uncommitted,
-        rec.wal_tail_truncated ? " [WAL tail truncated]" : "",
-        srv.registry().size(), start_batch);
+    start_batch = report_recovery(
+        srv.recovery_info(), srv.cumulative(),
+        "; " + std::to_string(srv.registry().size()) + " queries");
   }
 
   const auto print_batch = [](std::size_t k,
@@ -444,6 +461,11 @@ int run_sharded(const CliArgs& args, const UpdateStream& stream,
                 "--recover is not wired for --shards; replay the WAL "
                 "through a single-device run (counts are identical)");
   }
+  if (args.has("snapshot-every")) {
+    throw Error(ErrorCode::kConfig,
+                "--snapshot-every does not apply to --shards: the sharded "
+                "engine writes no snapshot");
+  }
 
   trace::TraceCollector collector;
   if (args.has("trace-json")) trace::set_collector(&collector);
@@ -460,11 +482,9 @@ int run_sharded(const CliArgs& args, const UpdateStream& stream,
   }
   sopt.estimator.num_walks =
       static_cast<std::uint64_t>(args.get_int("walks", 0));
-  if (args.has("wal-dir")) {
-    sopt.durability.wal_dir = args.get("wal-dir", "wal");
-    sopt.durability.snapshot_interval =
-        static_cast<std::uint64_t>(args.get_int("snapshot-every", 8));
-  }
+  // A rerun over the same --wal-dir starts fresh, as the single-device
+  // paths do without --recover.
+  sopt.durability = parse_durability(args);
   FaultInjector faults(
       static_cast<std::uint64_t>(args.get_int("fault-seed", 0x5eed)));
   const double fault_p = args.get_double("faults", 0.0);
@@ -677,12 +697,7 @@ int main(int argc, char** argv) try {
   }
   popt.estimator.num_walks =
       static_cast<std::uint64_t>(args.get_int("walks", 0));
-  if (args.has("wal-dir")) {
-    popt.durability.wal_dir = args.get("wal-dir", "wal");
-    popt.durability.snapshot_interval =
-        static_cast<std::uint64_t>(args.get_int("snapshot-every", 8));
-    popt.durability.recover_on_start = args.has("recover");
-  }
+  popt.durability = parse_durability(args);
 
   FaultInjector faults(
       static_cast<std::uint64_t>(args.get_int("fault-seed", 0x5eed)));
@@ -697,16 +712,8 @@ int main(int argc, char** argv) try {
   // the deterministic stream: resume submission right after it.
   std::size_t start_batch = 0;
   if (popt.durability.enabled() && popt.durability.recover_on_start) {
-    const RecoveredState& rec = pipeline.recovery_info();
-    const durable::DurableCounters& cum = pipeline.cumulative();
-    start_batch = static_cast<std::size_t>(cum.batches_committed);
-    std::printf(
-        "recovered: %llu batch(es) committed (%s snapshot, %zu replayed, "
-        "%zu uncommitted dropped)%s; resuming at batch %zu\n",
-        static_cast<unsigned long long>(cum.batches_committed),
-        rec.snapshot_loaded ? "with" : "no", rec.replay.size(),
-        rec.dropped_uncommitted,
-        rec.wal_tail_truncated ? " [WAL tail truncated]" : "", start_batch);
+    start_batch =
+        report_recovery(pipeline.recovery_info(), pipeline.cumulative(), "");
   }
 
   const gpusim::SimParams params = popt.sim;

@@ -1,5 +1,7 @@
 #include "core/access_policy.hpp"
 
+#include <algorithm>
+
 namespace gcsm {
 namespace {
 
@@ -86,6 +88,31 @@ NeighborView CountingPolicy::fetch(VertexId v, ViewMode mode,
   counts_[static_cast<std::size_t>(v)].fetch_add(1,
                                                  std::memory_order_relaxed);
   return view;
+}
+
+std::unique_ptr<AccessPolicy> make_access_policy(EngineKind kind,
+                                                 const DynamicGraph& graph,
+                                                 const DcsrCache& cache,
+                                                 const gpusim::SimParams& sim) {
+  switch (kind) {
+    case EngineKind::kCpu:
+      return std::make_unique<HostPolicy>(graph);
+    case EngineKind::kZeroCopy:
+      return std::make_unique<ZeroCopyPolicy>(graph, sim);
+    case EngineKind::kUnifiedMemory:
+      return std::make_unique<UnifiedMemoryPolicy>(graph, sim);
+    case EngineKind::kGcsm:
+    case EngineKind::kNaiveDegree:
+    case EngineKind::kVsgm:
+      break;
+  }
+  return std::make_unique<CachedPolicy>(graph, cache, sim);
+}
+
+gpusim::SimParams um_resident_set(gpusim::SimParams sim,
+                                  std::uint64_t budget) {
+  sim.um_page_cache_bytes = std::min(sim.um_page_cache_bytes, budget);
+  return sim;
 }
 
 std::vector<std::uint64_t> CountingPolicy::access_counts() const {

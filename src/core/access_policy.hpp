@@ -25,6 +25,15 @@
 
 namespace gcsm {
 
+enum class EngineKind {
+  kGcsm,           // frequency-estimated cache + zero-copy fallback
+  kZeroCopy,       // baseline ZP: everything over PCIe in cache lines
+  kUnifiedMemory,  // baseline UM: page-granular unified memory
+  kNaiveDegree,    // baseline Naive: degree-ordered cache
+  kVsgm,           // baseline VSGM: k-hop DMA precopy
+  kCpu,            // CPU baseline: host threads, no device
+};
+
 class AccessPolicy {
  public:
   virtual ~AccessPolicy() = default;
@@ -120,5 +129,21 @@ class CountingPolicy final : public AccessPolicy {
   const DynamicGraph& graph_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
 };
+
+// The policy engine `kind` matches through: host reads for kCpu, the
+// zero-copy and unified-memory baselines, and `cache` with zero-copy misses
+// for the kinds that pack one. A unified-memory policy's resident set is
+// sim.um_page_cache_bytes (see um_resident_set).
+std::unique_ptr<AccessPolicy> make_access_policy(EngineKind kind,
+                                                 const DynamicGraph& graph,
+                                                 const DcsrCache& cache,
+                                                 const gpusim::SimParams& sim);
+
+// `sim` with the unified-memory resident set clamped to `budget`: the UM
+// baseline gets the device buffer the cached engines pack into (the paper's
+// setting, where the graph far exceeds it). Without the clamp the page
+// cache would silently swallow a scaled-down graph whole.
+gpusim::SimParams um_resident_set(gpusim::SimParams sim,
+                                  std::uint64_t budget);
 
 }  // namespace gcsm

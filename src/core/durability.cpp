@@ -258,26 +258,16 @@ std::uint64_t DurabilityManager::durable_seq() const {
   return durable_seq_;
 }
 
-void DurabilityManager::wait_durable(std::uint64_t seq) {
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  durable_cv_.wait(lock, [&] {
-    return durable_seq_ >= seq || committer_error_ != nullptr;
-  });
-  if (durable_seq_ >= seq) return;
-  std::rethrow_exception(committer_error_);
-}
-
 void DurabilityManager::drain() {
-  std::uint64_t target = 0;
-  {
-    const std::lock_guard<std::mutex> lock(commit_mu_);
-    if (!committer_.joinable()) {
-      if (committer_error_ != nullptr) std::rethrow_exception(committer_error_);
-      return;
-    }
-    target = enqueued_seq_;
+  std::unique_lock<std::mutex> lock(commit_mu_);
+  const std::uint64_t target = enqueued_seq_;
+  if (committer_.joinable()) {
+    durable_cv_.wait(lock, [&] {
+      return durable_seq_ >= target || committer_error_ != nullptr;
+    });
+    if (durable_seq_ >= target) return;
   }
-  wait_durable(target);
+  if (committer_error_ != nullptr) std::rethrow_exception(committer_error_);
 }
 
 std::uint64_t DurabilityManager::begin_batch(const EdgeBatch& batch) {
@@ -302,15 +292,6 @@ std::uint64_t DurabilityManager::log_shed(const std::string& payload) {
 void DurabilityManager::log_server_state(std::uint64_t seq,
                                          const std::string& payload) {
   append_and_sync(wal::RecordType::kServerState, seq, payload);
-}
-
-bool DurabilityManager::maybe_snapshot(
-    const DynamicGraph& graph, const durable::DurableCounters& counters) {
-  if (options_.snapshot_interval == 0 ||
-      commits_since_snapshot_ < options_.snapshot_interval) {
-    return false;
-  }
-  return snapshot_now(graph, counters);
 }
 
 bool DurabilityManager::snapshot_now(

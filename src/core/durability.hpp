@@ -1,14 +1,16 @@
 // Crash durability for the streaming pipeline: WAL + snapshots + recovery
 // (docs/ROBUSTNESS.md, "Durability & recovery").
 //
-// Commit protocol, per batch (batch-granular exactly-once):
+// Commit protocol, per batch (batch-granular exactly-once). The batch-commit
+// core (core/batch_commit.hpp) drives it for every engine; this manager
+// owns the files:
 //   1. begin_batch  — the sanitized batch is appended to the WAL as a
 //      kBatch record and fsynced BEFORE the graph is touched;
-//   2. the pipeline applies and matches the batch (its own transactional
+//   2. the engine applies and matches the batch (its own transactional
 //      rollback handles in-flight failures);
 //   3. commit_batch — a kCommit marker carrying the cumulative durable
 //      counters is appended and fsynced AFTER the report is produced;
-//   4. maybe_snapshot — every snapshot_interval commits, a full graph
+//   4. snapshot_now — every snapshot_interval commits, a full graph
 //      snapshot is written atomically and the WAL prefix is compacted
 //      (truncated to zero: every logged record is now covered).
 //
@@ -140,18 +142,15 @@ class DurabilityManager {
   // marker, coalescing up to group_commit_batches units per fsync. The
   // batch is durable — and its report may be surfaced — only once
   // durable_seq() reaches its seq. A committer failure is sticky: it is
-  // rethrown (CrashError included) from the next wait_durable()/drain().
+  // rethrown (CrashError included) from the next enqueue_commit()/drain().
   // The committer thread starts lazily on the first enqueue.
   void enqueue_commit(CommitUnit unit);
 
   // Highest seq whose commit marker has durably landed via the committer.
   std::uint64_t durable_seq() const;
 
-  // Blocks until durable_seq() >= seq or the committer failed (rethrows).
-  void wait_durable(std::uint64_t seq);
-
   // Blocks until every enqueued unit is durable; rethrows a committer
-  // failure. MUST be called before snapshot_now/maybe_snapshot or any
+  // failure. MUST be called before snapshot_now or any
   // direct read of the WAL file while group commit is in flight: compaction
   // truncates the whole log, which is only sound once every queued marker
   // has landed. No-op when the committer was never started.
@@ -173,26 +172,15 @@ class DurabilityManager {
   // contract as begin_batch.
   void log_server_state(std::uint64_t seq, const std::string& payload);
 
-  // Step 4: snapshot + compact when the interval has elapsed. A CrashError
-  // escapes (the process is "dead"); any other failure is swallowed with a
-  // warning — the WAL still covers everything, so correctness is intact.
-  // Returns true when a snapshot was actually written (the caller may need
-  // to refresh snapshot-relative baselines).
-  bool maybe_snapshot(const DynamicGraph& graph,
-                      const durable::DurableCounters& counters);
-
-  // Forces the snapshot + WAL compaction regardless of the interval. Same
-  // failure contract as maybe_snapshot; returns false when the snapshot was
-  // skipped after exhausting retries (the WAL remains authoritative). Used
-  // by the multi-query engine when the query registry changes: batches
-  // committed under the old registry must never replay into the new one.
+  // Step 4: snapshot + WAL compaction. A CrashError escapes (the process
+  // is "dead"); any other failure is swallowed with a warning — the WAL
+  // still covers everything, so correctness is intact — and returns false.
+  // True when a snapshot was written (the caller may need to refresh
+  // snapshot-relative baselines).
   bool snapshot_now(const DynamicGraph& graph,
                     const durable::DurableCounters& counters);
 
-  std::uint64_t next_seq() const { return next_seq_; }
-  // Commits since the last snapshot — lets the multi-query engine tell when
-  // a deferred maybe_snapshot would actually have fired (snapshot deferral
-  // while catch-up debt is outstanding; docs/ROBUSTNESS.md).
+  // Commits since the last snapshot: the snapshot interval's clock.
   std::uint64_t commits_since_snapshot() const {
     return commits_since_snapshot_;
   }
@@ -220,7 +208,7 @@ class DurabilityManager {
 
   // Group-commit state. commit_mu_ guards the queue, durable_seq_, the
   // stored failure, and the stop flag; commit_cv_ wakes the committer,
-  // durable_cv_ wakes waiters in wait_durable/drain.
+  // durable_cv_ wakes waiters in drain.
   mutable std::mutex commit_mu_;
   std::condition_variable commit_cv_;
   std::condition_variable durable_cv_;

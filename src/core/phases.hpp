@@ -5,7 +5,10 @@
 // multi-query serving engine (src/server/) composes the same pieces with a
 // different schedule — one shared update/estimate/pack per batch, then the
 // match phase fanned out across registered queries. Keeping the phase bodies
-// here means the two schedulers cannot drift apart semantically.
+// here means the two schedulers cannot drift apart semantically. Ingestion
+// and the durable envelope around the phases (WAL record, commit marker,
+// snapshot, restart replay) belong to the batch-commit core
+// (core/batch_commit.hpp), which every engine shares.
 //
 // PipelineMetrics solves the process-global metric aliasing problem: the
 // original implementation resolved metric names through function-local
@@ -32,15 +35,6 @@
 #include "util/rng.hpp"
 
 namespace gcsm {
-
-enum class EngineKind {
-  kGcsm,           // frequency-estimated cache + zero-copy fallback
-  kZeroCopy,       // baseline ZP: everything over PCIe in cache lines
-  kUnifiedMemory,  // baseline UM: page-granular unified memory
-  kNaiveDegree,    // baseline Naive: degree-ordered cache
-  kVsgm,           // baseline VSGM: k-hop DMA precopy
-  kCpu,            // CPU baseline: host threads, no device
-};
 
 const char* engine_kind_name(EngineKind kind);
 // The kinds that pack a DCSR cache on the device: GCSM, Naive and VSGM.

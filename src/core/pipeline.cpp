@@ -1,11 +1,6 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "core/gpu_engine.hpp"
-#include "util/check.hpp"
-#include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -20,88 +15,26 @@ Pipeline::Pipeline(const CsrGraph& initial, QueryGraph query,
       executor_(options.workers, options.schedule),
       engine_(std::move(query), executor_, options.grain),
       estimator_(engine_.query(), options.estimator),
+      policy_(make_access_policy(
+          options_.kind, graph_, cache_,
+          um_resident_set(options_.sim, options_.cache_budget_bytes))),
       rng_(options.seed),
       faults_(options.fault_injector),
-      durability_(options.durability, options.fault_injector),
+      commit_(options.durability, options.fault_injector),
       metrics_(options.metric_prefix),
       budget_(options_.recovery) {
   device_.set_fault_injector(faults_);
   executor_.set_fault_injector(faults_);
   executor_.set_watchdog_timeout_ms(options_.recovery.watchdog_timeout_ms);
   graph_.set_fault_injector(faults_);
-  if (options_.kind == EngineKind::kUnifiedMemory) {
-    // The unified-memory resident set gets the same device buffer the
-    // cached engines use (the paper's setting: the graph far exceeds what
-    // the device can hold, so UM thrashes pages). Without this the page
-    // cache would silently swallow a scaled-down graph whole.
-    gpusim::SimParams um_params = options_.sim;
-    um_params.um_page_cache_bytes =
-        std::min<std::uint64_t>(um_params.um_page_cache_bytes,
-                                options_.cache_budget_bytes);
-    um_policy_ = std::make_unique<UnifiedMemoryPolicy>(graph_, um_params);
-  }
-
-  if (options_.durability.enabled()) {
-    recovery_info_ = durability_.recover();
-    if (recovery_info_.snapshot_loaded) {
-      graph_.restore(recovery_info_.graph);
-      if (options_.check_invariants) graph_.validate();
-      cumulative_ = recovery_info_.counters;
-    }
-    if (!recovery_info_.replay.empty()) {
-      // Deterministic replay of committed-but-unsnapshotted batches. Fault
-      // injection is suspended (the batches already survived production once)
-      // and `replaying_` keeps process_batch from re-logging them.
-      const FaultSuspendGuard suspend(faults_);
-      replaying_ = true;
-      try {
-        for (const auto& [seq, batch] : recovery_info_.replay) {
-          process_batch(batch);
-          cumulative_.last_seq = seq;
-        }
-      } catch (...) {
-        replaying_ = false;
-        throw;
-      }
-      replaying_ = false;
-    }
-    // Integrity gate: the replayed totals must reproduce the last commit
-    // marker exactly — otherwise the durable state is inconsistent (e.g. a
-    // compacted WAL with a corrupt snapshot) and serving it would be wrong.
-    if (recovery_info_.have_expected &&
-        cumulative_ != recovery_info_.expected) {
-      throw Error(
-          ErrorCode::kRecovery,
-          "recovery replay does not reproduce the committed counters "
-          "(batches " +
-              std::to_string(cumulative_.batches_committed) + " vs " +
-              std::to_string(recovery_info_.expected.batches_committed) +
-              ", signed " + std::to_string(cumulative_.cum_signed) + " vs " +
-              std::to_string(recovery_info_.expected.cum_signed) + ")");
-    }
-  }
+  commit_.recover(
+      {.graph = &graph_,
+       .validate = options_.check_invariants,
+       .batch = [this](const EdgeBatch& batch) { process_batch(batch); }});
 }
 
 std::uint64_t Pipeline::effective_cache_budget() const {
   return budget_.effective(options_.cache_budget_bytes);
-}
-
-std::unique_ptr<AccessPolicy> Pipeline::make_policy(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kCpu:
-      return std::make_unique<HostPolicy>(graph_);
-    case EngineKind::kZeroCopy:
-      return std::make_unique<ZeroCopyPolicy>(graph_, options_.sim);
-    case EngineKind::kUnifiedMemory:
-      // Returned fresh each call but sharing the persistent page cache via
-      // um_policy_ would double-charge; instead hand out a non-owning view.
-      return nullptr;  // handled specially in process_batch
-    case EngineKind::kGcsm:
-    case EngineKind::kNaiveDegree:
-    case EngineKind::kVsgm:
-      return std::make_unique<CachedPolicy>(graph_, cache_, options_.sim);
-  }
-  GCSM_CHECK(false, "unknown engine kind");
 }
 
 void Pipeline::run_attempt(const EdgeBatch& batch, const MatchSink* sink,
@@ -132,14 +65,9 @@ void Pipeline::run_attempt(const EdgeBatch& batch, const MatchSink* sink,
              options_.check_invariants, sim, metrics_, report);
 
   // Step 4: incremental matching.
-  if (kind == EngineKind::kUnifiedMemory) {
-    phase_match(kind, engine_, graph_, batch, *um_policy_, counters, sink,
-                sim, metrics_, report);
-  } else {
-    auto policy = make_policy(kind);
-    phase_match(kind, engine_, graph_, batch, *policy, counters, sink, sim,
-                metrics_, report);
-  }
+  HostPolicy host(graph_);
+  phase_match(kind, engine_, graph_, batch, use_cpu ? host : *policy_,
+              counters, sink, sim, metrics_, report);
 
   // Step 5: reorganize the touched lists on the CPU.
   phase_reorg(graph_, options_.check_invariants, sim, metrics_, report);
@@ -151,22 +79,9 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
                                     const MatchSink* sink) {
   const trace::Span batch_span(metrics_.span_batch());
   BatchReport report;
-  const std::uint64_t faults_before =
-      faults_ != nullptr ? faults_->fired_count() : 0;
-
-  EdgeBatch owned;
-  const EdgeBatch& use = phase_ingest(
-      batch, faults_, options_.recovery.sanitize_batches,
-      graph_sanitizer(graph_), owned, report.quarantine);
-
-  // Durable logging (step 1 of the commit protocol): the sanitized batch
-  // reaches stable storage before the graph is touched, so recovery replays
-  // exactly the bytes that ran. Recovery replay itself is not re-logged.
-  std::uint64_t wal_seq = 0;
-  if (options_.durability.enabled() && !replaying_) {
-    wal_seq = durability_.begin_batch(use);
-    report.wal_seq = wal_seq;
-  }
+  const EdgeBatch& use =
+      commit_.open(batch, options_.recovery.sanitize_batches,
+                   graph_sanitizer(graph_), report);
 
   // The transaction: everything the batch can touch, restorable even from a
   // half-applied state. Escalation re-runs the batch on the CPU engine.
@@ -181,44 +96,18 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
       rollback,
       [&] { return budget_.shrink(options_.cache_budget_bytes, metrics_); },
       options_.kind == EngineKind::kVsgm};
-  const bool on_cpu =
-      run_transaction(options_.recovery, options_.kind == EngineKind::kCpu,
-                      txn, parker_, report);
+  const bool on_cpu = run_transaction(
+      options_.recovery, options_.kind == EngineKind::kCpu, txn, report);
   report.cpu_fallback = on_cpu && options_.kind != EngineKind::kCpu;
-  // Only a batch that stayed on the device counts toward healing.
-  if (!on_cpu) budget_.settle(report.retries == 0);
 
-  report.degradation_level = budget_.level();
-  report.effective_cache_budget = effective_cache_budget();
-  if (faults_ != nullptr) {
-    report.faults_observed = faults_->fired_count() - faults_before;
-  }
-
-  // Commit (step 3): the cumulative totals including this batch go into the
-  // commit marker; only after it is durable does the in-memory cumulative
-  // state advance.
-  durable::DurableCounters next = cumulative_;
-  next.batches_committed += 1;
-  next.cum_signed += report.stats.signed_embeddings;
-  next.cum_positive += report.stats.positive;
-  next.cum_negative += report.stats.negative;
-  if (wal_seq != 0) {
-    next.last_seq = wal_seq;
-    try {
-      durability_.commit_batch(wal_seq, next);
-    } catch (...) {
-      // The batch never became durable: roll the graph back so memory agrees
-      // with disk, and let the client re-submit. (Sink callbacks already made
-      // cannot be retracted — see docs/ROBUSTNESS.md.)
-      rollback();
-      throw;
-    }
-  }
-  cumulative_ = next;
+  commit_.commit({.budgets = {&budget_, 1},
+                  .budget_base = options_.cache_budget_bytes,
+                  .escalated = on_cpu,
+                  .delta = report.stats,
+                  .rollback = rollback},
+                 report);
   metrics_.record_batch(report);
-  // Snapshot + WAL compaction (step 4) runs after the commit, so a crash
-  // inside it can only lose the snapshot, never the batch.
-  if (wal_seq != 0) durability_.maybe_snapshot(graph_, next);
+  commit_.snapshot(graph_);
   report.metrics = metrics::Registry::global().snapshot();
   return report;
 }

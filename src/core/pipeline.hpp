@@ -25,7 +25,9 @@
 //                       the Pipeline re-runs the batch on the CPU engine
 //                       (kCpu), needing no device at all.
 // Only when even the CPU attempts fail does the error escape to the caller.
-// See docs/ROBUSTNESS.md for the full taxonomy and recovery matrix.
+// The WAL record, commit marker, snapshot and restart replay around that
+// transaction are the batch-commit core's (core/batch_commit.hpp). See
+// docs/ROBUSTNESS.md for the full taxonomy and recovery matrix.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +36,9 @@
 #include <string>
 
 #include "core/access_policy.hpp"
+#include "core/batch_commit.hpp"
 #include "core/cpu_engine.hpp"
 #include "core/dcsr_cache.hpp"
-#include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
 #include "core/recovery.hpp"
@@ -46,7 +48,6 @@
 #include "graph/update_stream.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
-#include "util/parking.hpp"
 #include "util/rng.hpp"
 
 namespace gcsm {
@@ -108,14 +109,16 @@ class Pipeline {
   // or without durability). With durability on, exactly what the last WAL
   // commit marker recorded — a restarted client resumes submission from
   // cumulative().batches_committed.
-  const durable::DurableCounters& cumulative() const { return cumulative_; }
+  const durable::DurableCounters& cumulative() const {
+    return commit_.cumulative();
+  }
   // What recover-on-start found (empty when durability is off or the start
   // was cold).
-  const RecoveredState& recovery_info() const { return recovery_info_; }
+  const RecoveredState& recovery_info() const {
+    return commit_.recovery_info();
+  }
 
  private:
-  std::unique_ptr<AccessPolicy> make_policy(EngineKind kind);
-
   // One transactional attempt at the five steps. `use_cpu` re-runs the
   // batch on the CPU engine regardless of the configured kind.
   void run_attempt(const EdgeBatch& batch, const MatchSink* sink,
@@ -128,16 +131,14 @@ class Pipeline {
   MatchEngine engine_;
   FrequencyEstimator estimator_;
   DcsrCache cache_;
-  std::unique_ptr<UnifiedMemoryPolicy> um_policy_;  // persistent page cache
+  // The configured kind's policy, kept across batches (the UM page cache
+  // persists).
+  std::unique_ptr<AccessPolicy> policy_;
   Rng rng_;
   FaultInjector* faults_ = nullptr;
-  DurabilityManager durability_;
+  BatchCommit commit_;
   PipelineMetrics metrics_;
-  durable::DurableCounters cumulative_;
-  RecoveredState recovery_info_;
-  bool replaying_ = false;  // recovery replay: no sink, no re-logging
-  BudgetLadder budget_;      // OOM degradation of the device cache budget
-  util::ParkingLot parker_;  // interruptible retry-ladder backoff
+  BudgetLadder budget_;  // OOM degradation of the device cache budget
 };
 
 }  // namespace gcsm

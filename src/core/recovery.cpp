@@ -1,6 +1,8 @@
 #include "core/recovery.hpp"
 
+#include <chrono>
 #include <exception>
+#include <thread>
 
 #include "gpusim/device.hpp"
 
@@ -56,8 +58,7 @@ void BudgetLadder::settle(bool clean) {
 }
 
 bool run_transaction(const RecoveryOptions& rec, bool escalated,
-                     const Transaction& txn, util::ParkingLot& parker,
-                     BatchReport& report) {
+                     const Transaction& txn, BatchReport& report) {
   RetryLadder ladder(rec, escalated);
   for (;;) {
     std::exception_ptr error;
@@ -85,10 +86,8 @@ bool run_transaction(const RecoveryOptions& rec, bool escalated,
     ++report.retries;
     const RetryLadder::Step step = ladder.fail();
     if (step == RetryLadder::Step::kGiveUp) std::rethrow_exception(error);
-    // Interruptible parking, not a blocking sleep: the delay is bounded but
-    // teardown (or an eager caller) can cut it short.
     const double wait = ladder.next_backoff_ms();
-    parker.park_for_ms(wait);
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(wait));
     report.backoff_ms += wait;
   }
 }

@@ -23,7 +23,6 @@
 
 #include "core/phases.hpp"
 #include "util/error.hpp"
-#include "util/parking.hpp"
 
 namespace gcsm {
 
@@ -97,11 +96,10 @@ struct Transaction {
 };
 
 // Runs `txn` until an attempt succeeds, counting retries and backoff into
-// `report` and parking on `parker` between attempts. Returns whether the
-// batch ended escalated; rethrows (after the rollback) when it gives up.
+// `report` and sleeping out the backoff between attempts. Returns whether
+// the batch ended escalated; rethrows (after the rollback) when it gives up.
 bool run_transaction(const RecoveryOptions& rec, bool escalated,
-                     const Transaction& txn, util::ParkingLot& parker,
-                     BatchReport& report);
+                     const Transaction& txn, BatchReport& report);
 
 // The durable write path's retry: `op` re-runs while it throws a transient
 // Error, `attempts` runs in all, with no backoff and no escalation. A

@@ -64,9 +64,6 @@ struct MultiQueryEngine::PipelineCtx {
   Front* next_front = nullptr;
   // Deferred sink buffers, one per registered query (registration order).
   std::vector<std::vector<SinkRecord>>* buffers = nullptr;
-  // Health-transition payloads collected for the commit unit instead of
-  // being logged inline (the committer appends them before the marker).
-  std::vector<std::string>* server_states = nullptr;
 };
 
 MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
@@ -75,7 +72,7 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
       graph_(initial),
       device_(options_.sim),
       faults_(options_.fault_injector),
-      durability_(options_.durability, options_.fault_injector),
+      commit_(options_.durability, options_.fault_injector),
       metrics_(options_.metric_prefix),
       match_pool_(options_.match_parallelism),
       seed_root_(options_.seed),
@@ -89,7 +86,7 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
   if (!options_.durability.recover_on_start) {
     // Fresh start: scrub durable state (recover() truncates the WAL and
     // removes the snapshot) including the registry image.
-    recovery_info_ = durability_.recover();
+    commit_.recover({});
     std::remove(registry_path_.c_str());
     return;
   }
@@ -111,13 +108,7 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
     }
   }
 
-  recovery_info_ = durability_.recover();
-  if (recovery_info_.snapshot_loaded) {
-    graph_.restore(recovery_info_.graph);
-    if (options_.check_invariants) graph_.validate();
-    cumulative_ = recovery_info_.counters;
-  }
-
+  const RecoveredState& info = commit_.recovery_info();
   // Anchor selection: the image is rewritten after every commit, so its
   // aggregate is normally ahead of the snapshot's and lets most of the
   // replay run graph-only (no matching). The image anchor is trusted past
@@ -126,19 +117,28 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
   // fresher-looking image whose seq the (possibly compacted) WAL cannot
   // reach would otherwise let a damaged snapshot slip past the integrity
   // gate with a graph that silently skipped batches.
-  const durable::DurableCounters& image_anchor = registry_.aggregate();
-  if (image_anchor.last_seq >= cumulative_.last_seq &&
-      image_anchor.batches_committed >= cumulative_.batches_committed) {
-    bool reachable = image_anchor.last_seq == cumulative_.last_seq;
-    for (const auto& [seq, batch] : recovery_info_.replay) {
-      if (seq == image_anchor.last_seq) {
-        reachable = true;
-        break;
+  std::uint64_t anchor_seq = 0;
+  auto select_anchor = [&] {
+    const durable::DurableCounters& image_anchor = registry_.aggregate();
+    const durable::DurableCounters& snap = commit_.cumulative();
+    if (image_anchor.last_seq >= snap.last_seq &&
+        image_anchor.batches_committed >= snap.batches_committed) {
+      bool reachable = image_anchor.last_seq == snap.last_seq;
+      for (const auto& [seq, batch] : info.replay) {
+        if (seq == image_anchor.last_seq) {
+          reachable = true;
+          break;
+        }
       }
+      if (reachable) commit_.set_anchor(image_anchor);
     }
-    if (reachable) cumulative_ = image_anchor;
-  }
-  const std::uint64_t anchor_seq = cumulative_.last_seq;
+    anchor_seq = commit_.cumulative().last_seq;
+    if ((!info.replay.empty() || !info.server_states.empty()) &&
+        states_.empty()) {
+      throw Error(ErrorCode::kRecovery,
+                  "WAL holds committed batches but no query is registered");
+    }
+  };
 
   // Health-transition records are applied in log order, each one before the
   // equal-seq batch it belongs to, and only when its revision is newer than
@@ -148,77 +148,56 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
   // harmless. The aggregate carried by a record (which folds a re-join's
   // catch-up correction — unreconstructible from batch records alone) only
   // ever moves the anchor forward.
-  auto apply_record = [&](std::uint64_t seq, const std::string& payload) {
-    std::string why;
-    auto t = decode_transition(payload, &why);
-    if (!t.has_value()) {
-      throw Error(ErrorCode::kRecovery, "WAL health transition at seq " +
-                                            std::to_string(seq) +
-                                            " damaged: " + why);
-    }
-    if (t->revision <= registry_.health_revision()) return;
-    for (const auto& [id, health] : t->table) {
-      if (RegisteredQuery* entry = registry_.find_mutable(id)) {
-        entry->health = health;
+  std::size_t ri = 0;
+  auto apply_records = [&](std::uint64_t up_to) {
+    for (; ri < info.server_states.size() &&
+           info.server_states[ri].first <= up_to;
+         ++ri) {
+      const auto& [seq, payload] = info.server_states[ri];
+      std::string why;
+      auto t = decode_transition(payload, &why);
+      if (!t.has_value()) {
+        throw Error(ErrorCode::kRecovery, "WAL health transition at seq " +
+                                              std::to_string(seq) +
+                                              " damaged: " + why);
       }
-      // Unknown ids were unregistered after the record was written; their
-      // state is gone with them.
-    }
-    registry_.set_health_revision(t->revision);
-    if (t->aggregate.last_seq >= cumulative_.last_seq) {
-      cumulative_ = t->aggregate;
+      if (t->revision <= registry_.health_revision()) continue;
+      for (const auto& [id, health] : t->table) {
+        if (RegisteredQuery* entry = registry_.find_mutable(id)) {
+          entry->health = health;
+        }
+        // Unknown ids were unregistered after the record was written; their
+        // state is gone with them.
+      }
+      registry_.set_health_revision(t->revision);
+      if (t->aggregate.last_seq >= commit_.cumulative().last_seq) {
+        commit_.set_anchor(t->aggregate);
+      }
     }
   };
-  const auto& records = recovery_info_.server_states;
-  std::size_t ri = 0;
 
-  if (!recovery_info_.replay.empty() || !records.empty()) {
-    if (states_.empty()) {
-      throw Error(ErrorCode::kRecovery,
-                  "WAL holds committed batches but no query is registered");
-    }
-    // Deterministic replay through the restored query set. Sinks are not
-    // attached yet, so no subscriber callback fires twice; faults are
-    // suspended and `replaying_` prevents re-logging. Batches at or below
-    // the anchor replay graph-only; the rest replay fully, each query
-    // participating iff it is healthy at that point in the log and its
-    // position is behind the batch.
-    const FaultSuspendGuard suspend(faults_);
-    replaying_ = true;
-    try {
-      for (const auto& [seq, batch] : recovery_info_.replay) {
-        while (ri < records.size() && records[ri].first <= seq) {
-          apply_record(records[ri].first, records[ri].second);
-          ++ri;
-        }
-        replay_seq_ = seq;
-        replay_graph_only_ = seq <= anchor_seq;
-        process_batch(batch);
-        if (!replay_graph_only_) cumulative_.last_seq = seq;
-      }
-      // Trailing records (a transition made durable whose batch never
-      // committed) still apply: the durable side is conservatively ahead.
-      while (ri < records.size()) {
-        apply_record(records[ri].first, records[ri].second);
-        ++ri;
-      }
-    } catch (...) {
-      replaying_ = false;
-      throw;
-    }
-    replaying_ = false;
+  // Deterministic replay through the restored query set. Sinks are not
+  // attached yet, so no subscriber callback fires twice. Batches at or below
+  // the anchor replay graph-only; the rest replay fully, each query
+  // participating iff it is healthy at that point in the log and its
+  // position is behind the batch. Trailing records (a transition made
+  // durable whose batch never committed) still apply: the durable side is
+  // conservatively ahead.
+  ReplayHooks hooks;
+  hooks.graph = &graph_;
+  hooks.validate = options_.check_invariants;
+  hooks.before = select_anchor;
+  hooks.batch = [&](const EdgeBatch& batch) {
+    apply_records(commit_.replay_seq());
+    replay_graph_only_ = commit_.replay_seq() <= anchor_seq;
+    process_batch(batch);
+  };
+  hooks.after = [&] {
+    apply_records(UINT64_MAX);
     replay_graph_only_ = false;
-  }
-  if (recovery_info_.have_expected && cumulative_ != recovery_info_.expected) {
-    throw Error(
-        ErrorCode::kRecovery,
-        "recovery replay does not reproduce the committed counters "
-        "(batches " +
-            std::to_string(cumulative_.batches_committed) + " vs " +
-            std::to_string(recovery_info_.expected.batches_committed) +
-            ", signed " + std::to_string(cumulative_.cum_signed) + " vs " +
-            std::to_string(recovery_info_.expected.cum_signed) + ")");
-  }
+  };
+  commit_.recover(hooks);
+
   // Post-gate normalization: healthy queries participated in everything
   // that replayed, so their positions land on the aggregate's (v1 images
   // and snapshot-anchored replays leave them stale). Quarantined debt is
@@ -228,9 +207,10 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
   for (const RegisteredQuery& e : registry_.entries()) {
     RegisteredQuery* entry = registry_.find_mutable(e.id);
     if (entry->health.state == HealthState::kHealthy) {
-      entry->health.last_applied_seq = cumulative_.last_seq;
+      entry->health.last_applied_seq = commit_.cumulative().last_seq;
     } else if (!entry->health.debt_overflow &&
-               cumulative_.last_seq - entry->health.last_applied_seq >
+               commit_.cumulative().last_seq -
+                       entry->health.last_applied_seq >
                    options_.breaker.max_debt_batches) {
       entry->health.debt_overflow = true;
     }
@@ -257,15 +237,9 @@ std::unique_ptr<MultiQueryEngine::QueryState> MultiQueryEngine::make_state(
                                     options_.grain);
   qs->estimator = std::make_unique<FrequencyEstimator>(qs->engine->query(),
                                                        options_.estimator);
-  if (options_.kind == EngineKind::kUnifiedMemory) {
-    // Same resident-set clamp as the single-query Pipeline: the page cache
-    // must not silently swallow a scaled-down graph whole.
-    gpusim::SimParams um_params = options_.sim;
-    um_params.um_page_cache_bytes =
-        std::min<std::uint64_t>(um_params.um_page_cache_bytes,
-                                options_.cache_budget_bytes);
-    qs->um_policy = std::make_unique<UnifiedMemoryPolicy>(graph_, um_params);
-  }
+  qs->policy = make_access_policy(
+      options_.kind, graph_, cache_,
+      um_resident_set(options_.sim, options_.cache_budget_bytes));
   qs->metrics = std::make_unique<PipelineMetrics>(
       options_.metric_prefix + "q" + std::to_string(entry.id) + ".");
   // Independent deterministic stream per query id, so registration order
@@ -282,8 +256,8 @@ MultiQueryEngine::QueryState* MultiQueryEngine::state_for(QueryId id) {
 }
 
 std::uint64_t MultiQueryEngine::current_position() const {
-  return options_.durability.enabled() ? cumulative_.last_seq
-                                       : cumulative_.batches_committed;
+  return options_.durability.enabled() ? commit_.cumulative().last_seq
+                                       : commit_.cumulative().batches_committed;
 }
 
 bool MultiQueryEngine::any_exact_catchup_debt() const {
@@ -317,7 +291,7 @@ void MultiQueryEngine::refresh_breaker_gauges() const {
 
 void MultiQueryEngine::persist_registry(bool allow_defer) {
   if (!options_.durability.enabled()) return;
-  if (cumulative_.batches_committed > 0) {
+  if (commit_.cumulative().batches_committed > 0) {
     // Compact batches committed under the previous registry into a snapshot
     // so they can never replay into the new one. While a quarantined query
     // still owes exact catch-up, a REGISTRATION defers the compaction (the
@@ -329,19 +303,19 @@ void MultiQueryEngine::persist_registry(bool allow_defer) {
     // back to re-baseline when the WAL no longer covers them.
     if (allow_defer && any_exact_catchup_debt()) {
       force_snapshot_pending_ = true;
-    } else if (!durability_.snapshot_now(graph_, cumulative_)) {
+    } else if (!commit_.snapshot(graph_, /*force=*/true)) {
       throw Error(ErrorCode::kSnapshotWrite,
                   "registry change needs a snapshot and the write failed");
     }
   }
-  registry_.set_aggregate(cumulative_);
+  registry_.set_aggregate(commit_.cumulative());
   io::atomic_write_file(registry_path_, registry_.encode(),
                         options_.durability.fsync, faults_);
 }
 
 bool MultiQueryEngine::write_registry_image() {
   if (registry_path_.empty()) return false;
-  registry_.set_aggregate(cumulative_);
+  registry_.set_aggregate(commit_.cumulative());
   try {
     io::atomic_write_file(registry_path_, registry_.encode(),
                           options_.durability.fsync, faults_);
@@ -548,27 +522,9 @@ void MultiQueryEngine::match_attempt(QueryState& qs, const EdgeBatch& batch,
   }
   qr.stats = MatchStats{};
   gpusim::TrafficCounters qcounters;
-  std::unique_ptr<AccessPolicy> owned;
-  AccessPolicy* policy = nullptr;
-  switch (kind) {
-    case EngineKind::kCpu:
-      owned = std::make_unique<HostPolicy>(graph_);
-      break;
-    case EngineKind::kZeroCopy:
-      owned = std::make_unique<ZeroCopyPolicy>(graph_, options_.sim);
-      break;
-    case EngineKind::kUnifiedMemory:
-      policy = qs.um_policy.get();
-      break;
-    case EngineKind::kGcsm:
-    case EngineKind::kNaiveDegree:
-    case EngineKind::kVsgm:
-      owned = std::make_unique<CachedPolicy>(graph_, cache_, options_.sim);
-      break;
-  }
-  if (policy == nullptr) policy = owned.get();
-  phase_match(kind, *qs.engine, graph_, batch, *policy, qcounters, sink,
-              options_.sim, *qs.metrics, qr);
+  HostPolicy host(graph_);
+  phase_match(kind, *qs.engine, graph_, batch, use_cpu ? host : *qs.policy,
+              qcounters, sink, options_.sim, *qs.metrics, qr);
   if (options_.breaker.match_deadline_ms > 0 &&
       qr.wall_match_ms >
           static_cast<double>(options_.breaker.match_deadline_ms)) {
@@ -670,7 +626,7 @@ void MultiQueryEngine::run_match_fanout(
       QueryState& qs = *states_[task.index];
       QueryReport& q = out.queries[task.index];
       const MatchSink* sink = nullptr;
-      if (!replaying_ && roles[task.index] == MatchRole::kMatch) {
+      if (!commit_.replaying() && roles[task.index] == MatchRole::kMatch) {
         const MatchSink& chosen = sink_override != nullptr
                                       ? (*sink_override)[task.index]
                                       : qs.sink;
@@ -732,7 +688,7 @@ bool MultiQueryEngine::replay_missed_batches(QueryState& qs,
                                              const MatchSink* sink) {
   auto& replayed = metrics::Registry::global().counter(
       options_.metric_prefix + metric::kServerCatchupBatchesReplayed);
-  const std::uint64_t target = cumulative_.last_seq;
+  const std::uint64_t target = commit_.cumulative().last_seq;
   *delta = QueryCounters{};
   if (health.last_applied_seq >= target) return true;  // no debt after all
 
@@ -744,14 +700,14 @@ bool MultiQueryEngine::replay_missed_batches(QueryState& qs,
   DynamicGraph shadow(initial_);
   std::uint64_t shadow_seq = 0;
   std::string why;
-  if (auto snap =
-          durable::load_snapshot_file(durability_.snapshot_path(), &why)) {
+  if (auto snap = durable::load_snapshot_file(
+          commit_.durability().snapshot_path(), &why)) {
     if (snap->counters.last_seq > health.last_applied_seq) return false;
     shadow.restore(snap->graph);
     shadow_seq = snap->counters.last_seq;
   }
 
-  wal::ReadResult log = wal::read_all(durability_.wal_path());
+  wal::ReadResult log = wal::read_all(commit_.durability().wal_path());
   std::unordered_map<std::uint64_t, const std::string*> batches;
   std::unordered_set<std::uint64_t> committed;
   std::unordered_set<std::uint64_t> shed;
@@ -805,8 +761,8 @@ void MultiQueryEngine::set_walk_scale(double scale) {
 std::uint64_t MultiQueryEngine::log_shed_batch(const std::string& payload) {
   static auto& m_records =
       metrics::Registry::global().counter(metric::kServerShedWalRecords);
-  if (!durability_.options().enabled() || replaying_) return 0;
-  const std::uint64_t seq = durability_.log_shed(payload);
+  if (!options_.durability.enabled() || commit_.replaying()) return 0;
+  const std::uint64_t seq = commit_.durability().log_shed(payload);
   m_records.add();
   return seq;
 }
@@ -821,13 +777,16 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   ServerBatchReport out;
   BatchReport& shared = out.shared;
   const BreakerOptions& breaker = options_.breaker;
-  const std::uint64_t faults_before =
-      faults_ != nullptr ? faults_->fired_count() : 0;
 
-  // Ingestion: corrupt (fault site), then screen — once for all queries.
-  // The pipelined schedule already did both while the previous batch's
-  // fan-out was in flight; a staging failure is rethrown HERE, before any
-  // state is touched, so it fails this batch exactly like an inline one.
+  // Ingestion: corrupt (fault site), then screen — once for all queries —
+  // and ONE WAL record per batch regardless of query count. The pipelined
+  // schedule already screened the batch while the previous batch's fan-out
+  // was in flight; a staging failure is rethrown HERE, before any state is
+  // touched, so it fails this batch exactly like an inline one. The append
+  // is deliberately NOT staged: it stays on the engine thread, after the
+  // previous batch's drain-point snapshot could have compacted the WAL — a
+  // staged append could be truncated away by that compaction while its
+  // commit marker survives.
   PipelineCtx::Front* front =
       ctx != nullptr && ctx->front != nullptr && ctx->front->valid
           ? ctx->front
@@ -835,20 +794,20 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   if (front != nullptr && front->error != nullptr) {
     std::rethrow_exception(front->error);
   }
-  EdgeBatch owned;
-  const EdgeBatch* use = &owned;
+  const EdgeBatch* use = nullptr;
   if (front != nullptr) {
-    owned = std::move(front->batch);
     shared.quarantine = std::move(front->quarantine);
+    use = &commit_.open_screened(std::move(front->batch), shared);
   } else {
-    use = &phase_ingest(batch, faults_, options_.recovery.sanitize_batches,
-                        graph_sanitizer(graph_), owned, shared.quarantine);
+    use = &commit_.open(batch, options_.recovery.sanitize_batches,
+                        graph_sanitizer(graph_), shared);
   }
+  const bool replaying = commit_.replaying();
 
   // Recovery fast path: a replayed batch at or below the aggregate anchor
   // is already folded into every counter the image carries — it only needs
   // to move the GRAPH forward (update + reorg, no estimation, no matching).
-  if (replaying_ && replay_graph_only_) {
+  if (replaying && replay_graph_only_) {
     phase_update(graph_, *use, options_.check_invariants, metrics_, shared);
     phase_reorg(graph_, options_.check_invariants, options_.sim, metrics_,
                 shared);
@@ -869,9 +828,9 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   std::vector<MatchRole> roles(n, MatchRole::kSkip);
   for (std::size_t i = 0; i < n; ++i) {
     const QueryHealth& h = registry_.find(states_[i]->id)->health;
-    if (replaying_) {
+    if (replaying) {
       roles[i] = (h.state == HealthState::kHealthy &&
-                  h.last_applied_seq < replay_seq_)
+                  h.last_applied_seq < commit_.replay_seq())
                      ? MatchRole::kMatch
                      : MatchRole::kSkip;
     } else if (h.state == HealthState::kHealthy) {
@@ -904,17 +863,6 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     }
   }
 
-  // Durable logging: ONE WAL record per batch regardless of query count.
-  // Deliberately NOT staged on the pool: the append stays on the engine
-  // thread, after the previous batch's drain-point snapshot could have
-  // compacted the WAL — a staged append could be truncated away by that
-  // compaction while its commit marker survives.
-  std::uint64_t wal_seq = 0;
-  if (options_.durability.enabled() && !replaying_) {
-    wal_seq = durability_.begin_batch(*use);
-    shared.wal_seq = wal_seq;
-  }
-
   const DynamicGraph::Snapshot snap = graph_.snapshot_for(*use);
   auto rollback = [&] {
     graph_.restore(snap);
@@ -944,10 +892,9 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
       rollback,
       [&] { return budget_.shrink(options_.cache_budget_bytes, metrics_); },
       options_.kind == EngineKind::kVsgm};
-  out.cache_dropped =
-      run_transaction(options_.recovery, /*escalated=*/!packs_cache, txn,
-                      parker_, shared) &&
-      packs_cache;
+  const bool escalated = run_transaction(
+      options_.recovery, /*escalated=*/!packs_cache, txn, shared);
+  out.cache_dropped = escalated && packs_cache;
 
   // Phase 4: fan the match out across the participating queries. Each
   // query runs on a pool thread with its own executor, counters, and
@@ -1028,7 +975,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
                                                    // have left stats behind
       if (outcomes[i].ladder_exhausted) {
         ++qs.consecutive_failures;
-        if (breaker.enabled && !replaying_ &&
+        if (breaker.enabled && !replaying &&
             qs.consecutive_failures >= breaker.trip_after_failures) {
           tripped_idx.push_back(i);
           continue;
@@ -1075,7 +1022,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     // marker must land first or the debt window would look uncommitted. A
     // committer failure is crash-equivalent and fails this batch.
     try {
-      durability_.drain();
+      commit_.durability().drain();
     } catch (...) {
       rollback();
       throw;
@@ -1104,7 +1051,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     staged.health.state = HealthState::kHealthy;
     staged.health.debt_overflow = false;
     staged.health.counters += missed;
-    staged.health.last_applied_seq = cumulative_.last_seq;
+    staged.health.last_applied_seq = commit_.cumulative().last_seq;
     staged.missed = missed;
     total_missed += missed;
     rejoins.push_back(std::move(staged));
@@ -1125,29 +1072,22 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
               shared);
   shared.traffic = device_.counters().snapshot();
 
-  // The shared budget heals on clean streaks, exactly like the Pipeline's.
-  if (!out.cache_dropped) budget_.settle(shared.retries == 0);
-
-  shared.degradation_level = budget_.level();
-  shared.effective_cache_budget = effective_cache_budget();
-  if (faults_ != nullptr) {
-    shared.faults_observed = faults_->fired_count() - faults_before;
-  }
   for (const QueryReport& q : out.queries) shared.stats += q.report.stats;
 
   // Health transitions ride the WAL BEFORE the commit marker, at the same
   // seq as the batch they belong to — re-joins first, then trips, each
   // carrying the full post-transition table (absolute, ascending ids) and
   // the post-transition aggregate as of the PREVIOUS batch (a re-join's
-  // folds in the catch-up correction replay cannot recompute). Failure here
-  // fails the whole batch: the marker must never land without them.
+  // folds in the catch-up correction replay cannot recompute). A failed
+  // write fails the whole batch: the marker must never land without them.
+  std::vector<std::string> transitions;
   std::uint64_t pending_revision = registry_.health_revision();
-  if (wal_seq != 0 && (!rejoins.empty() || !tripped_idx.empty())) {
+  if (shared.wal_seq != 0 && (!rejoins.empty() || !tripped_idx.empty())) {
     std::map<QueryId, QueryHealth> working;
     for (const RegisteredQuery& e : registry_.entries()) {
       working.emplace(e.id, e.health);
     }
-    durable::DurableCounters staged_aggregate = cumulative_;
+    durable::DurableCounters staged_aggregate = commit_.cumulative();
     auto log_transition = [&](HealthTransition::Reason reason, QueryId id) {
       HealthTransition t;
       t.reason = reason;
@@ -1155,21 +1095,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
       t.query = id;
       t.aggregate = staged_aggregate;
       t.table.assign(working.begin(), working.end());
-      if (ctx != nullptr) {
-        // Group commit: the payload rides the commit unit; the committer
-        // appends it before the marker at the same seq, so the "marker
-        // never lands without its transitions" invariant holds at every
-        // crash point — a committer write failure simply means neither
-        // becomes durable.
-        ctx->server_states->push_back(encode_transition(t));
-        return;
-      }
-      try {
-        durability_.log_server_state(wal_seq, encode_transition(t));
-      } catch (...) {
-        rollback();
-        throw;
-      }
+      transitions.push_back(encode_transition(t));
     };
     for (const StagedRejoin& r : rejoins) {
       working[states_[r.index]->id] = r.health;
@@ -1190,49 +1116,28 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // Commit ONE marker carrying the aggregate counters across queries —
   // quarantined tenants contribute nothing, re-joining ones contribute
   // their batch delta plus the folded catch-up correction, so the
-  // aggregate stays the sum of what every query durably observed.
-  durable::DurableCounters next = cumulative_;
-  next.batches_committed += 1;
-  next.cum_signed +=
-      shared.stats.signed_embeddings + total_missed.signed_embeddings;
-  next.cum_positive += shared.stats.positive + total_missed.positive;
-  next.cum_negative += shared.stats.negative + total_missed.negative;
-  if (wal_seq != 0) {
-    next.last_seq = wal_seq;
-    if (ctx != nullptr) {
-      // Group commit: hand the marker (and this batch's transition
-      // payloads) to the committer thread. In-memory state advances
-      // immediately — crash-safe because nothing is SURFACED (reports,
-      // sinks) until durable_seq() reaches this batch, so a crash before
-      // the marker lands re-exposes exactly what recovery replays.
-      CommitUnit unit;
-      unit.seq = wal_seq;
-      unit.counters = next;
-      unit.server_states = std::move(*ctx->server_states);
-      try {
-        durability_.enqueue_commit(std::move(unit));
-      } catch (...) {
-        rollback();
-        throw;
-      }
-    } else {
-      try {
-        durability_.commit_batch(wal_seq, next);
-      } catch (...) {
-        rollback();
-        throw;
-      }
-    }
-  }
-  cumulative_ = next;
+  // aggregate stays the sum of what every query durably observed. The
+  // pipelined schedule hands it (and the transitions) to the group
+  // committer. The shared budget heals on clean streaks, exactly like the
+  // Pipeline's.
+  MatchStats delta = shared.stats;
+  delta.signed_embeddings += total_missed.signed_embeddings;
+  delta.positive += total_missed.positive;
+  delta.negative += total_missed.negative;
+  commit_.commit({.budgets = {&budget_, 1},
+                  .budget_base = options_.cache_budget_bytes,
+                  .escalated = escalated,
+                  .delta = delta,
+                  .rollback = rollback,
+                  .server_states = std::move(transitions),
+                  .group = ctx != nullptr},
+                 shared);
   metrics_.record_batch(shared);
 
   // The batch is committed: apply the staged breaker effects. Position
-  // bookkeeping uses the WAL seq (replay position under recovery, batch
-  // ordinal without durability).
-  const std::uint64_t pos_seq =
-      replaying_ ? replay_seq_
-                 : (wal_seq != 0 ? wal_seq : cumulative_.batches_committed);
+  // bookkeeping uses the committed position (the WAL seq, which is the
+  // replay position under recovery; the batch ordinal without durability).
+  const std::uint64_t pos_seq = current_position();
   registry_.set_health_revision(pending_revision);
   for (std::size_t i = 0; i < n; ++i) {
     if (roles[i] != MatchRole::kMatch || outcomes[i].error != nullptr) {
@@ -1299,7 +1204,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
         .add();
   }
 
-  if (!replaying_) {
+  if (!replaying) {
     // Quarantine housekeeping: cooldowns tick on committed batches the
     // query sat out (a fresh trip or a failed probe starts a full window);
     // debt that outgrew the window overflows, which lifts the snapshot
@@ -1319,7 +1224,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     refresh_breaker_gauges();
   }
 
-  if (wal_seq != 0 && ctx == nullptr) {
+  if (shared.wal_seq != 0 && ctx == nullptr && write_registry_image()) {
     // Durable tail (serial schedule only — the pipelined one defers both
     // the image rewrite and the snapshot to its committer drain points,
     // where the image's aggregate cannot run ahead of the durable markers
@@ -1331,28 +1236,23 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     // stale image would advance the graph beyond per-query counters the
     // image can still account for — and is deferred entirely while any
     // query owes exact catch-up debt (the WAL must keep those batches).
-    const bool image_ok = write_registry_image();
-    if (image_ok) {
-      if (any_exact_catchup_debt()) {
-        const std::uint64_t interval = options_.durability.snapshot_interval;
-        if (interval > 0 &&
-            durability_.commits_since_snapshot() >= interval) {
-          metrics::Registry::global()
-              .counter(options_.metric_prefix +
-                       metric::kServerCatchupDeferredSnapshots)
-              .add();
-        }
-      } else if (force_snapshot_pending_) {
-        if (durability_.snapshot_now(graph_, cumulative_)) {
-          force_snapshot_pending_ = false;
-        }
-      } else {
-        durability_.maybe_snapshot(graph_, cumulative_);
-      }
+    if (!any_exact_catchup_debt()) {
+      snapshot_after_image();
+    } else if (commit_.snapshot_due()) {
+      metrics::Registry::global()
+          .counter(options_.metric_prefix +
+                   metric::kServerCatchupDeferredSnapshots)
+          .add();
     }
   }
   shared.metrics = metrics::Registry::global().snapshot();
   return out;
+}
+
+void MultiQueryEngine::snapshot_after_image() {
+  if (commit_.snapshot(graph_, force_snapshot_pending_)) {
+    force_snapshot_pending_ = false;
+  }
 }
 
 void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
@@ -1373,7 +1273,8 @@ void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
   // after a drain. With durability off nothing defers.
   const bool durable_on = options_.durability.enabled();
   auto surface_ready = [&](bool all) {
-    const std::uint64_t durable = durable_on ? durability_.durable_seq() : 0;
+    const std::uint64_t durable =
+        durable_on ? commit_.durability().durable_seq() : 0;
     while (!pending.empty()) {
       Pending& p = pending.front();
       if (!all && durable_on && p.seq != 0 && p.seq > durable) break;
@@ -1403,8 +1304,6 @@ void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
     Pending p;
     p.buffers.assign(states_.size(), {});
     ctx.buffers = &p.buffers;
-    std::vector<std::string> server_states;
-    ctx.server_states = &server_states;
     try {
       p.report = process_batch_inner(batches[k], &ctx);
     } catch (...) {
@@ -1428,36 +1327,24 @@ void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
     // the serial schedule does per commit) runs only once every queued
     // marker has landed — compaction truncates the whole WAL, and the
     // image's aggregate anchor must never outrun the durable markers.
-    if (durable_on) {
-      const std::uint64_t interval = options_.durability.snapshot_interval;
-      const bool due =
-          force_snapshot_pending_ ||
-          (interval > 0 && durability_.commits_since_snapshot() >= interval);
-      if (!due) continue;
-      if (any_exact_catchup_debt()) {
-        metrics::Registry::global()
-            .counter(options_.metric_prefix +
-                     metric::kServerCatchupDeferredSnapshots)
-            .add();
-        continue;
-      }
-      durability_.drain();
-      surface_ready(true);
-      if (write_registry_image()) {
-        if (force_snapshot_pending_) {
-          if (durability_.snapshot_now(graph_, cumulative_)) {
-            force_snapshot_pending_ = false;
-          }
-        } else {
-          durability_.maybe_snapshot(graph_, cumulative_);
-        }
-      }
+    if (!durable_on || !(force_snapshot_pending_ || commit_.snapshot_due())) {
+      continue;
     }
+    if (any_exact_catchup_debt()) {
+      metrics::Registry::global()
+          .counter(options_.metric_prefix +
+                   metric::kServerCatchupDeferredSnapshots)
+          .add();
+      continue;
+    }
+    commit_.durability().drain();
+    surface_ready(true);
+    if (write_registry_image()) snapshot_after_image();
   }
 
   // Stream tail: everything durable, every report surfaced, image fresh.
   if (durable_on) {
-    durability_.drain();
+    commit_.durability().drain();
     write_registry_image();
   }
   surface_ready(true);

@@ -45,13 +45,15 @@
 // and retries (device OOM shrinks the shared budget; the escalation step
 // drops the cache and serves the batch zero-copy), and each query's match
 // takes its attempts, CPU escalation and backoff from its own RetryLadder,
-// waiting out the backoff as a ready-at requeue rather than a parked
-// thread, for that query alone. Durability logs each batch
-// ONCE; health transitions ride the WAL as kServerState records sequenced
-// against the batch stream, and the registry image (per-query health +
-// counters + an aggregate anchor) is rewritten after every commit so
-// recovery can restart per-query bookkeeping from the last image and replay
-// only the suffix (batches at or below the anchor replay graph-only).
+// waiting out the backoff as a ready-at requeue rather than a sleeping
+// thread, for that query alone. The batch-commit core
+// (core/batch_commit.hpp) logs each batch ONCE and writes its commit
+// marker; the engine adds its health transitions, which ride the WAL as
+// kServerState records written before the marker, and the registry image
+// (per-query health + counters + an aggregate anchor), rewritten after
+// every commit so recovery can restart per-query bookkeeping from the last
+// image and replay only the suffix (batches at or below the anchor replay
+// graph-only).
 #pragma once
 
 #include <cstdint>
@@ -61,9 +63,9 @@
 #include <vector>
 
 #include "core/access_policy.hpp"
+#include "core/batch_commit.hpp"
 #include "core/cpu_engine.hpp"
 #include "core/dcsr_cache.hpp"
-#include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
 #include "core/recovery.hpp"
@@ -73,7 +75,6 @@
 #include "graph/update_stream.hpp"
 #include "server/query_registry.hpp"
 #include "util/check.hpp"
-#include "util/parking.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gcsm::server {
@@ -152,9 +153,9 @@ class MultiQueryEngine {
   // reorg, no matching), the rest replay fully with per-query participation
   // decided by each query's recovered health and position, applying WAL
   // health-transition records in log order (only those with a revision
-  // newer than the image's). The same integrity gate as Pipeline applies:
-  // replay must reproduce the committed aggregate counters exactly or
-  // Error(kRecovery) is thrown.
+  // newer than the image's). The batch-commit core's integrity gate
+  // applies: replay must reproduce the committed aggregate counters exactly
+  // or Error(kRecovery) is thrown.
   MultiQueryEngine(const CsrGraph& initial, MultiQueryOptions options);
 
   // Registers a standing query. `sink` (optional) receives this query's
@@ -225,8 +226,12 @@ class MultiQueryEngine {
   const MultiQueryOptions& options() const { return options_; }
   std::uint64_t effective_cache_budget() const;
   std::uint32_t degradation_level() const { return budget_.level(); }
-  const durable::DurableCounters& cumulative() const { return cumulative_; }
-  const RecoveredState& recovery_info() const { return recovery_info_; }
+  const durable::DurableCounters& cumulative() const {
+    return commit_.cumulative();
+  }
+  const RecoveredState& recovery_info() const {
+    return commit_.recovery_info();
+  }
   const std::string& registry_path() const { return registry_path_; }
 
  private:
@@ -242,7 +247,8 @@ class MultiQueryEngine {
     std::unique_ptr<gpusim::SimtExecutor> executor;
     std::unique_ptr<MatchEngine> engine;
     std::unique_ptr<FrequencyEstimator> estimator;
-    std::unique_ptr<UnifiedMemoryPolicy> um_policy;  // kUnifiedMemory only
+    std::unique_ptr<AccessPolicy> policy;  // the configured kind's (a UM
+                                           // page cache persists)
     std::unique_ptr<PipelineMetrics> metrics;        // "q<id>." scope
     Rng rng;
     MatchSink sink;
@@ -300,6 +306,9 @@ class MultiQueryEngine {
   // must NOT be written after a failed image write (the image's per-query
   // anchor would fall behind the snapshot's graph). CrashError escapes.
   bool write_registry_image();
+  // The snapshot a freshly written image permits: a pending forced one (a
+  // registry change deferred by catch-up debt) first, else the interval's.
+  void snapshot_after_image();
   // Any quarantined query still owed an exact (non-overflowed) catch-up —
   // while true, snapshot compaction is deferred so the WAL keeps the debt.
   bool any_exact_catchup_debt() const;
@@ -362,24 +371,18 @@ class MultiQueryEngine {
   gpusim::Device device_;
   DcsrCache cache_;
   FaultInjector* faults_ = nullptr;
-  DurabilityManager durability_;
+  BatchCommit commit_;
   PipelineMetrics metrics_;  // shared-phase scope
   QueryRegistry registry_;
   std::string registry_path_;  // empty when durability is off
   std::vector<std::unique_ptr<QueryState>> states_;  // registration order
   ThreadPool match_pool_;
-  util::ParkingLot parker_;  // interruptible shared-ladder backoff
   Rng seed_root_;  // split per QueryId for deterministic per-query streams
-  durable::DurableCounters cumulative_;
-  RecoveredState recovery_info_;
   // Pristine copy of the construction-time graph: the shadow-replay base
   // when no snapshot has been written yet. Kept only under durability.
   CsrGraph initial_;
-  bool replaying_ = false;
-  // Recovery replay position: seq of the batch being replayed, and whether
-  // it is at or below the aggregate anchor (graph-only: update + reorg, no
-  // matching, no counter advance).
-  std::uint64_t replay_seq_ = 0;
+  // The batch being replayed is at or below the aggregate anchor
+  // (graph-only: update + reorg, no matching, no counter advance).
   bool replay_graph_only_ = false;
   // A registry change happened while catch-up debt deferred its snapshot;
   // the snapshot fires at the first debt-free commit.

@@ -25,7 +25,7 @@ ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
     : options_(std::move(options)),
       sg_(initial, options_.num_shards, options_.partition, options_.sim),
       faults_(options_.fault_injector),
-      durability_(options_.durability, options_.fault_injector),
+      commit_(options_.durability, options_.fault_injector),
       metrics_(options_.metric_prefix),
       pool_(options_.workers == 0 ? options_.num_shards : options_.workers),
       budgets_(options_.num_shards, BudgetLadder(options_.recovery)) {
@@ -34,19 +34,11 @@ ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     shard_metrics_.emplace_back(shard_prefix(options_.metric_prefix, s));
   }
-  if (options_.kind == EngineKind::kUnifiedMemory) {
-    // Same setting as the single-device Pipeline: the UM resident set gets
-    // (each shard's share of) the cache budget, so UM genuinely pages.
-    options_.sim.um_page_cache_bytes = std::min<std::uint64_t>(
-        options_.sim.um_page_cache_bytes,
-        std::max<std::uint64_t>(1, options_.cache_budget_bytes /
-                                       options_.num_shards));
-  }
-  if (options_.durability.enabled()) {
-    // Initializes WAL sequencing (and truncates any torn tail). Replay is
-    // not wired for the sharded engine — see the header.
-    cumulative_ = durability_.recover().counters;
-  }
+  // Each shard's UM resident set is its share of the cache budget.
+  options_.sim = um_resident_set(options_.sim, budget_slice());
+  // No replay: a directory holding committed batches or a snapshot is
+  // refused (it replays through a single-device engine).
+  commit_.recover({});
 }
 
 QueryId ShardedMatchEngine::register_query(QueryGraph query, MatchSink sink) {
@@ -250,27 +242,16 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
   }
   const std::size_t shards = sg_.num_shards();
   ShardedBatchReport out;
-  const std::uint64_t faults_before =
-      faults_ != nullptr ? faults_->fired_count() : 0;
 
   // Ingestion, decision-for-decision the single-device path, with liveness
-  // answered by the owning shards.
-  EdgeBatch owned;
-  const EdgeBatch& use = phase_ingest(
-      batch, faults_, options_.recovery.sanitize_batches,
+  // answered by the owning shards, and one WAL record for the GLOBAL
+  // screened batch (the per-shard split is deterministic).
+  const EdgeBatch& use = commit_.open(
+      batch, options_.recovery.sanitize_batches,
       [this](const EdgeBatch& b, QuarantineReport& q) {
         return sg_.sanitize(b, q);
       },
-      owned, out.shared.quarantine);
-
-  // One WAL record for the GLOBAL sanitized batch; the per-shard split is
-  // deterministic, so recovery can re-derive it.
-  std::uint64_t wal_seq = 0;
-  if (options_.durability.enabled()) {
-    wal_seq = durability_.begin_batch(use);
-    out.shared.wal_seq = wal_seq;
-  }
-
+      out.shared);
   const std::vector<EdgeBatch> subs = sg_.split_batch(use);
 
   // The transaction: every shard's touchable state, restorable together.
@@ -301,38 +282,18 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
         return true;
       },
       options_.kind == EngineKind::kVsgm};
-  const bool on_cpu =
-      run_transaction(options_.recovery, options_.kind == EngineKind::kCpu,
-                      txn, parker_, out.shared);
+  const bool on_cpu = run_transaction(
+      options_.recovery, options_.kind == EngineKind::kCpu, txn, out.shared);
   out.shared.cpu_fallback = on_cpu && options_.kind != EngineKind::kCpu;
-  for (std::size_t s = 0; s < shards; ++s) {
-    // Each shard's budget heals on its own streak.
-    if (!on_cpu) budgets_[s].settle(out.shared.retries == 0);
-    out.shared.degradation_level =
-        std::max(out.shared.degradation_level, budgets_[s].level());
-    out.shared.effective_cache_budget += effective_cache_budget(s);
-  }
-  if (faults_ != nullptr) {
-    out.shared.faults_observed = faults_->fired_count() - faults_before;
-  }
 
-  // Commit: ONE marker per batch carrying the aggregated per-shard
-  // counters; the in-memory cumulative state advances only after it lands.
-  durable::DurableCounters next = cumulative_;
-  next.batches_committed += 1;
-  next.cum_signed += out.shared.stats.signed_embeddings;
-  next.cum_positive += out.shared.stats.positive;
-  next.cum_negative += out.shared.stats.negative;
-  if (wal_seq != 0) {
-    next.last_seq = wal_seq;
-    try {
-      durability_.commit_batch(wal_seq, next);
-    } catch (...) {
-      rollback();
-      throw;
-    }
-  }
-  cumulative_ = next;
+  // ONE commit marker per batch carrying the aggregated per-shard counters;
+  // each shard's budget heals on its own streak.
+  commit_.commit({.budgets = budgets_,
+                  .budget_base = budget_slice(),
+                  .escalated = on_cpu,
+                  .delta = out.shared.stats,
+                  .rollback = rollback},
+                 out.shared);
 
   sg_.note_applied(use);
   out.cut_edges = sg_.cut_edges();

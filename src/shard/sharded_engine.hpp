@@ -30,10 +30,15 @@
 // transaction over all shards: corruption screening, per-shard snapshots
 // before the attempt, rollback of ALL shards on failure, and one attempt
 // ladder (retries with backoff, CPU escalation) for the whole batch. Only
-// the budget ladder is per shard: an OOM shrinks the shard that raised it. Durability logs the sanitized GLOBAL batch once and commits
-// ONE marker per batch carrying the aggregated per-shard counters;
-// recover_on_start replay is not wired for the sharded engine (replay goes
-// through a single-device engine — counts are identical by construction).
+// the budget ladder is per shard: an OOM shrinks the shard that raised it.
+// Through the batch-commit core (core/batch_commit.hpp), durability logs
+// the screened GLOBAL batch once and commits ONE marker per batch carrying
+// the aggregated per-shard counters. The sharded engine writes no snapshot
+// and does not replay: a recover_on_start over a directory holding a
+// snapshot or committed batches throws Error(kRecovery). A directory
+// written for one query replays through a single-device Pipeline (counts
+// are identical by construction); recover_on_start off discards it and
+// starts fresh.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +46,8 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_commit.hpp"
 #include "core/cpu_engine.hpp"
-#include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
 #include "core/recovery.hpp"
@@ -50,7 +55,6 @@
 #include "shard/sharded_graph.hpp"
 #include "shard/sharded_matcher.hpp"
 #include "util/check.hpp"
-#include "util/parking.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -121,7 +125,9 @@ class ShardedMatchEngine {
   std::uint32_t degradation_level(std::size_t s) const {
     return budgets_[s].level();
   }
-  const durable::DurableCounters& cumulative() const { return cumulative_; }
+  const durable::DurableCounters& cumulative() const {
+    return commit_.cumulative();
+  }
 
  private:
   struct QueryState {
@@ -145,13 +151,11 @@ class ShardedMatchEngine {
   ShardedEngineOptions options_;
   ShardedGraph sg_;
   FaultInjector* faults_ = nullptr;
-  DurabilityManager durability_;
+  BatchCommit commit_;
   PipelineMetrics metrics_;                 // aggregate scope
   std::vector<PipelineMetrics> shard_metrics_;  // "shard<i>." scopes
   std::vector<std::unique_ptr<QueryState>> states_;
   ThreadPool pool_;
-  util::ParkingLot parker_;
-  durable::DurableCounters cumulative_;
   // Per-shard OOM degradation of each shard's budget slice.
   std::vector<BudgetLadder> budgets_;
 };

@@ -21,25 +21,8 @@ class RoutedShardPolicy final : public AccessPolicy {
                     const gpusim::SimParams& sim)
       : sg_(sg), on_device_(kind != EngineKind::kCpu) {
     for (std::size_t s = 0; s < sg.num_shards(); ++s) {
-      switch (kind) {
-        case EngineKind::kGcsm:
-        case EngineKind::kNaiveDegree:
-        case EngineKind::kVsgm:
-          policies_.push_back(std::make_unique<CachedPolicy>(
-              sg.graph(s), sg.cache(s), sim));
-          break;
-        case EngineKind::kZeroCopy:
-          policies_.push_back(
-              std::make_unique<ZeroCopyPolicy>(sg.graph(s), sim));
-          break;
-        case EngineKind::kUnifiedMemory:
-          policies_.push_back(
-              std::make_unique<UnifiedMemoryPolicy>(sg.graph(s), sim));
-          break;
-        case EngineKind::kCpu:
-          policies_.push_back(std::make_unique<HostPolicy>(sg.graph(s)));
-          break;
-      }
+      policies_.push_back(
+          make_access_policy(kind, sg.graph(s), sg.cache(s), sim));
     }
   }
 

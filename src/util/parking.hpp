@@ -1,12 +1,11 @@
-// Interruptible backoff parking (docs/MULTI_QUERY.md, "Batch semantics").
+// Interruptible parking (docs/ROBUSTNESS.md, "Overload & admission
+// control").
 //
-// The retry ladders used to back off with std::this_thread::sleep_for,
-// which pins the calling thread — a pool worker or the batch driver — for
-// the full delay even when the run is being torn down or the next batch is
-// already waiting. A ParkingLot gives the same bounded delay as a
-// condition-variable wait that interrupt_all() can cut short, mirroring
-// the ready-at parking the multi-query match fan-out uses for per-task
-// backoff.
+// A ParkingLot is a bounded delay, as a condition-variable wait that
+// interrupt_all() can cut short: the admission controller parks blocked
+// submitters and the paced server thread on one, and every pop, shed or
+// close rings it. (The retry ladders sleep out their backoff instead —
+// nothing interrupts a batch mid-retry.)
 #pragma once
 
 #include <chrono>

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "graph/update_stream.hpp"
 #include "query/patterns.hpp"
 #include "server/multi_query_engine.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/durable_io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -686,6 +688,198 @@ TEST(Durability, RecoverOnStartOffDiscardsStaleState) {
   EXPECT_EQ(p.cumulative().batches_committed, 1U);
   expect_counts(p.cumulative(), baseline_counters(fx, query, 1));
 }
+
+// ---------------------------------------------------------------------------
+// A failed commit marker, on every engine. The marker is the last durable
+// write of a batch: if it cannot land, the batch never happened — the graph
+// is rolled back, the cumulative counters stay put, and the client
+// re-submits the batch, which then commits exactly the reference counts.
+
+enum class CommitEngine {
+  kPipeline,
+  kMultiQuery,        // process_batch: the marker is written inline
+  kMultiQueryStream,  // process_stream: the group committer writes it
+  kSharded1,
+  kSharded2,
+};
+
+std::string commit_engine_name(CommitEngine engine) {
+  switch (engine) {
+    case CommitEngine::kPipeline:
+      return "Pipeline";
+    case CommitEngine::kMultiQuery:
+      return "MultiQuery";
+    case CommitEngine::kMultiQueryStream:
+      return "MultiQueryStream";
+    case CommitEngine::kSharded1:
+      return "Sharded1";
+    case CommitEngine::kSharded2:
+      return "Sharded2";
+  }
+  return "unknown";
+}
+
+// One durable engine of any kind, holding one triangle query.
+class CommitHarness {
+ public:
+  CommitHarness(CommitEngine engine, const CsrGraph& initial,
+                const PipelineOptions& opt)
+      : engine_(engine), initial_(initial), opt_(opt) {
+    open();
+  }
+
+  // The batch's signed embedding count.
+  std::int64_t process(const EdgeBatch& batch) {
+    switch (engine_) {
+      case CommitEngine::kPipeline:
+        return pipe_->process_batch(batch).stats.signed_embeddings;
+      case CommitEngine::kMultiQuery:
+        return multi_->process_batch(batch).shared.stats.signed_embeddings;
+      case CommitEngine::kMultiQueryStream: {
+        std::int64_t got = 0;
+        multi_->process_stream({batch}, [&](server::ServerBatchReport&& r) {
+          got = r.shared.stats.signed_embeddings;
+        });
+        return got;
+      }
+      case CommitEngine::kSharded1:
+      case CommitEngine::kSharded2:
+        return sharded_->process_batch(batch).shared.stats.signed_embeddings;
+    }
+    return 0;
+  }
+
+  // Every graph the engine holds, as edge lists (one per shard).
+  std::vector<std::vector<Edge>> edges() const {
+    if (pipe_ != nullptr) return {pipe_->graph().to_csr().edge_list()};
+    if (multi_ != nullptr) return {multi_->graph().to_csr().edge_list()};
+    std::vector<std::vector<Edge>> out;
+    const auto& sg = sharded_->sharded_graph();
+    for (std::size_t s = 0; s < sg.num_shards(); ++s) {
+      out.push_back(sg.graph(s).to_csr().edge_list());
+    }
+    return out;
+  }
+
+  durable::DurableCounters cumulative() const {
+    if (pipe_ != nullptr) return pipe_->cumulative();
+    if (multi_ != nullptr) return multi_->cumulative();
+    return sharded_->cumulative();
+  }
+
+  // Drops the engine without cleanup and recovers a new one from disk.
+  void restart() {
+    pipe_.reset();
+    multi_.reset();
+    sharded_.reset();
+    open();
+  }
+
+ private:
+  void open() {
+    switch (engine_) {
+      case CommitEngine::kPipeline:
+        pipe_ = std::make_unique<Pipeline>(initial_, make_triangle(), opt_);
+        return;
+      case CommitEngine::kMultiQuery:
+      case CommitEngine::kMultiQueryStream: {
+        server::MultiQueryOptions mo;
+        mo.kind = opt_.kind;
+        mo.cache_budget_bytes = opt_.cache_budget_bytes;
+        mo.estimator = opt_.estimator;
+        mo.workers = opt_.workers;
+        mo.recovery = opt_.recovery;
+        mo.durability = opt_.durability;
+        mo.fault_injector = opt_.fault_injector;
+        multi_ = std::make_unique<server::MultiQueryEngine>(initial_, mo);
+        // A recovering start restores the query from the registry image.
+        if (multi_->registry().empty()) multi_->register_query(make_triangle());
+        return;
+      }
+      case CommitEngine::kSharded1:
+      case CommitEngine::kSharded2: {
+        shard::ShardedEngineOptions so;
+        so.num_shards = engine_ == CommitEngine::kSharded1 ? 1 : 2;
+        so.kind = opt_.kind;
+        so.cache_budget_bytes = opt_.cache_budget_bytes;
+        so.estimator = opt_.estimator;
+        so.recovery = opt_.recovery;
+        so.durability = opt_.durability;
+        so.fault_injector = opt_.fault_injector;
+        sharded_ = std::make_unique<shard::ShardedMatchEngine>(initial_, so);
+        sharded_->register_query(make_triangle());
+        return;
+      }
+    }
+  }
+
+  CommitEngine engine_;
+  const CsrGraph& initial_;
+  PipelineOptions opt_;
+  std::unique_ptr<Pipeline> pipe_;
+  std::unique_ptr<server::MultiQueryEngine> multi_;
+  std::unique_ptr<shard::ShardedMatchEngine> sharded_;
+};
+
+class CommitFaults : public ::testing::TestWithParam<CommitEngine> {};
+
+TEST_P(CommitFaults, FailedMarkerRollsTheBatchBack) {
+  StreamFixture fx(61);
+  const QueryGraph query = make_triangle();
+  const std::string dir = fresh_dir("commit_" + commit_engine_name(GetParam()));
+  std::vector<std::int64_t> want;
+  {
+    PipelineOptions ref = durable_options("", nullptr, EngineKind::kGcsm);
+    Pipeline p(fx.stream.initial, query, ref);
+    for (std::size_t k = 0; k < 2; ++k) {
+      want.push_back(p.process_batch(fx.stream.batches[k])
+                         .stats.signed_embeddings);
+    }
+  }
+
+  // wal.write hits: batch 0's record (1) and marker (2), then batch 1's
+  // record (3) and marker (4). One attempt per write, so hit 4 fails the
+  // marker outright.
+  FaultInjector inj(23);
+  inj.arm(fault_site::kWalWrite, {0.0, 4});
+  PipelineOptions opt = durable_options(dir, &inj, EngineKind::kGcsm);
+  opt.durability.max_write_attempts = 1;
+  CommitHarness h(GetParam(), fx.stream.initial, opt);
+
+  EXPECT_EQ(h.process(fx.stream.batches[0]), want[0]);
+  const std::vector<std::vector<Edge>> edges_before = h.edges();
+  const durable::DurableCounters before = h.cumulative();
+  expect_counts(before, baseline_counters(fx, query, 1));
+
+  try {
+    h.process(fx.stream.batches[1]);
+    FAIL() << "a failed commit marker must fail the batch";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kWalWrite);
+  }
+  if (GetParam() == CommitEngine::kMultiQueryStream) {
+    // The group committer fails after the batch body returned, which is
+    // crash-equivalent: the marker never landed, so a restart recovers the
+    // pre-batch state.
+    h.restart();
+  }
+  EXPECT_EQ(h.edges(), edges_before);
+  EXPECT_EQ(h.cumulative(), before);
+
+  EXPECT_EQ(h.process(fx.stream.batches[1]), want[1]);
+  expect_counts(h.cumulative(), baseline_counters(fx, query, 2));
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, CommitFaults,
+                         ::testing::Values(CommitEngine::kPipeline,
+                                           CommitEngine::kMultiQuery,
+                                           CommitEngine::kMultiQueryStream,
+                                           CommitEngine::kSharded1,
+                                           CommitEngine::kSharded2),
+                         [](const auto& info) {
+                           return commit_engine_name(info.param);
+                         });
 
 }  // namespace
 }  // namespace gcsm

@@ -61,6 +61,21 @@ TEST(Lint, FlagsRawLadderKnob) {
   EXPECT_NE(diags[0].message.find("backoff_multiplier"), std::string::npos);
 }
 
+TEST(Lint, FlagsRawCommitCall) {
+  const auto diags = lint_fixture("raw_commit");
+  // core/batch_commit.cpp is exempt, and BatchCommit's own recover() is not
+  // a DurabilityManager call; the raw begin_batch and the recover through
+  // the durability() accessor are.
+  ASSERT_EQ(diags.size(), 2u) << render(diags);
+  EXPECT_EQ(diags[0].rule, "raw-commit");
+  EXPECT_EQ(diags[0].file, "src/bad.cpp");
+  EXPECT_EQ(diags[0].line, 5);
+  EXPECT_NE(diags[0].message.find("begin_batch"), std::string::npos);
+  EXPECT_EQ(diags[1].rule, "raw-commit");
+  EXPECT_EQ(diags[1].line, 6);
+  EXPECT_NE(diags[1].message.find("recover"), std::string::npos);
+}
+
 TEST(Lint, FlagsDocDriftBothDirections) {
   const auto diags = lint_fixture("doc_drift");
   // One registered-but-undocumented metric, one documented-but-unknown.

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/list_ref.hpp"
+#include "core/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 #include "query/branch_plan.hpp"
@@ -227,6 +228,66 @@ TEST(Shard, CommitMarkersAggregatePerShardCounters) {
   EXPECT_EQ(engine.cumulative().batches_committed, 3u);
   EXPECT_EQ(engine.cumulative().cum_signed, cum_signed);
   EXPECT_EQ(engine.cumulative().cum_positive, cum_positive);
+  std::filesystem::remove_all(dir);
+}
+
+// The sharded engine logs and commits, but it cannot replay. Restarting it
+// over committed batches must refuse (appending past them would leave a
+// directory whose markers no replay can reproduce); a fresh start discards
+// them, and what the fresh run commits replays on a single-device engine.
+TEST(Shard, RestartRefusesCommittedBatchesItCannotReplay) {
+  const StreamFixture f(32);
+  static int dir_counter = 0;
+  const std::string dir = std::string(::testing::TempDir()) +
+                          "gcsm_shard_restart_" +
+                          std::to_string(dir_counter++);
+  std::filesystem::remove_all(dir);
+  io::ensure_dir(dir);
+
+  ShardedEngineOptions opt =
+      sharded_options(EngineKind::kGcsm, 2, PartitionStrategy::kHash);
+  opt.durability.wal_dir = dir;
+  opt.durability.fsync = false;
+  auto run_two_batches = [&] {
+    ShardedMatchEngine engine(f.stream.initial, opt);
+    EXPECT_EQ(engine.cumulative().batches_committed, 0u);
+    engine.register_query(make_triangle());
+    for (std::size_t k = 0; k < 2; ++k) {
+      engine.process_batch(f.stream.batches[k]);
+    }
+    EXPECT_EQ(engine.cumulative().batches_committed, 2u);
+  };
+  run_two_batches();
+
+  try {
+    ShardedMatchEngine again(f.stream.initial, opt);
+    FAIL() << "a sharded restart over committed batches must refuse";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kRecovery);
+    EXPECT_NE(std::string(e.what()).find("single-device"), std::string::npos)
+        << e.what();
+  }
+
+  opt.durability.recover_on_start = false;
+  run_two_batches();
+
+  PipelineOptions ref;
+  ref.kind = EngineKind::kCpu;
+  ref.workers = 2;
+  Pipeline reference(f.stream.initial, make_triangle(), ref);
+  for (std::size_t k = 0; k < 2; ++k) {
+    reference.process_batch(f.stream.batches[k]);
+  }
+  ref.durability.wal_dir = dir;
+  ref.durability.fsync = false;
+  const Pipeline replayed(f.stream.initial, make_triangle(), ref);
+  EXPECT_EQ(replayed.cumulative().batches_committed, 2u);
+  EXPECT_EQ(replayed.cumulative().cum_signed,
+            reference.cumulative().cum_signed);
+  EXPECT_EQ(replayed.cumulative().cum_positive,
+            reference.cumulative().cum_positive);
+  EXPECT_EQ(replayed.cumulative().cum_negative,
+            reference.cumulative().cum_negative);
   std::filesystem::remove_all(dir);
 }
 

@@ -40,6 +40,19 @@ const std::set<std::string> kLadderFiles = {
     "src/core/recovery.hpp", "src/core/recovery.cpp",
 };
 
+// The commit protocol's durable calls, made only by the batch-commit core
+// and the durability manager itself. begin_batch, commit_batch and
+// enqueue_commit are DurabilityManager's alone; `recover` is a common name,
+// so it counts only on a receiver that names a durability manager
+// (`durability_.recover()`, `x.durability().recover()`).
+const std::set<std::string> kCommitCalls = {
+    "begin_batch", "commit_batch", "enqueue_commit",
+};
+const std::set<std::string> kCommitFiles = {
+    "src/core/batch_commit.hpp", "src/core/batch_commit.cpp",
+    "src/core/durability.hpp",   "src/core/durability.cpp",
+};
+
 // Exception types `throw` may name: the gcsm::Error taxonomy (callers
 // branch on ErrorCode; drivers map it to the exit-code contract) and
 // CheckFailure (invariant violations from GCSM_CHECK/GCSM_ASSERT).
@@ -330,6 +343,35 @@ void check_ladder_knobs(const FileContext& ctx) {
   }
 }
 
+void check_raw_commits(const FileContext& ctx) {
+  if (kCommitFiles.count(ctx.rel) != 0) return;
+  const std::vector<Token>& toks = ctx.toks;
+  for (std::size_t i = 1; i + 2 < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kPunct ||
+        (toks[i].text != "." && toks[i].text != "->")) {
+      continue;
+    }
+    const Token& name = toks[i + 1];
+    if (name.kind != TokKind::kIdent || toks[i + 2].text != "(") continue;
+    bool raw = kCommitCalls.count(name.text) != 0;
+    if (name.text == "recover") {
+      // The receiver: an identifier, or an accessor call `ident()`.
+      std::size_t r = i - 1;
+      if (r >= 2 && toks[r].text == ")" && toks[r - 1].text == "(") r -= 2;
+      raw = toks[r].kind == TokKind::kIdent &&
+            toks[r].text.find("durability") != std::string::npos;
+    }
+    if (raw) {
+      emit(ctx, name.line, "raw-commit",
+           "DurabilityManager::" + name.text +
+               " called outside core/batch_commit.{hpp,cpp}; run the batch "
+               "through BatchCommit (open / commit / recover) so the WAL "
+               "record, the commit marker and the replay gate keep their "
+               "order");
+    }
+  }
+}
+
 void check_naked_locks(const FileContext& ctx) {
   const std::vector<Token>& toks = ctx.toks;
   for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -414,6 +456,7 @@ std::vector<Diagnostic> run_lint(const Options& options) {
     check_throws(ctx);
     check_relaxed_atomics(ctx);
     check_ladder_knobs(ctx);
+    check_raw_commits(ctx);
     check_naked_locks(ctx);
   }
 

@@ -27,6 +27,10 @@
 //                        heal_after_clean_batches) outside
 //                        core/recovery.{hpp,cpp} and the RecoveryOptions
 //                        declaration.
+//   raw-commit           a DurabilityManager begin_batch, commit_batch,
+//                        enqueue_commit or recover call outside
+//                        core/batch_commit.{hpp,cpp} and
+//                        core/durability.{hpp,cpp}.
 //   naked-lock           a bare .lock()/.unlock() member call; mutexes must
 //                        be held through RAII (std::lock_guard,
 //                        std::scoped_lock, std::unique_lock).
